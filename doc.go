@@ -25,6 +25,12 @@
 // planning starts. Planning is deterministic: identical topology,
 // options and seed yield bit-identical tables regardless of GOMAXPROCS.
 //
+// Nearly all of a plan's time is the feasibility router's load-aware
+// shortest-path queries; they run one compiled kernel with no solver
+// choice (DESIGN.md §3.1). WithPathEngine selects a certified-exact
+// goal-directed solver for what remains — K-shortest and failover
+// searches only — and never changes a plan (DESIGN.md §12).
+//
 // # Warm-started replanning
 //
 // Replans need not start from scratch: WithWarmStart(prev) seeds every

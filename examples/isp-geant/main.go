@@ -13,8 +13,8 @@ import (
 
 	"response"
 	"response/experiments"
-	"response/trafficmatrix"
 	"response/topology"
+	"response/trafficmatrix"
 )
 
 func main() {

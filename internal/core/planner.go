@@ -92,7 +92,11 @@ type PlanOpts struct {
 	// warm planning never changes feasibility, only speed.
 	Warm *WarmStart
 	// PathEngine selects the point-to-point shortest-path solver for
-	// every search the plan issues (default: the reference Dijkstra).
+	// the plan's K-shortest searches (latency-bound repair, heuristic
+	// on-demand mode) and failover searches (default: the reference
+	// Dijkstra).
+	// The feasibility router's load-aware queries do not dispatch on
+	// it: they all run the compiled kernel (spf.ShortestPathLoad).
 	// The goal-directed engines are certified-exact — they fall back to
 	// the reference engine on any query whose answer they cannot prove
 	// identical — so the resulting plan is bit-for-bit the same under
@@ -245,7 +249,7 @@ func PlanContext(ctx context.Context, t *topo.Topology, opts PlanOpts) (*Tables,
 	_, aonRouting, err := mcf.OptimalSubsetContext(ctx, t, lowDemands, opts.Model, mcf.OptimalOpts{
 		RandomRestarts: opts.RandomRestarts,
 		Seed:           opts.Seed,
-		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Engine: opts.PathEngine},
+		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil},
 		Check:          check,
 		Warm:           opts.Warm.stage(-1),
 	})
@@ -446,7 +450,7 @@ func onDemandStress(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 	// unavailable) — and size it near the largest routable load while
 	// avoiding the excluded links, derated to 80 % for slack.
 	deltaMax := mcf.MaxFeasibleScale(t, shape, mcf.RouteOpts{
-		MaxUtil: opts.MaxUtil, Avoid: avoid, Engine: opts.PathEngine,
+		MaxUtil: opts.MaxUtil, Avoid: avoid,
 	}, 0.05)
 	sizing := traffic.Uniform(opts.Nodes, opts.Epsilon)
 	if deltaMax > 0 {
@@ -467,7 +471,7 @@ func onDemandStress(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 		RandomRestarts: opts.RandomRestarts,
 		Seed:           opts.Seed + 1,
 		KeepOn:         tables.AlwaysOnSet,
-		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid, Engine: opts.PathEngine},
+		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid},
 		Warm:           opts.Warm.stage(round),
 	})
 	if err != nil {
@@ -481,7 +485,7 @@ func onDemandStress(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 			RandomRestarts: opts.RandomRestarts,
 			Seed:           opts.Seed + 1,
 			KeepOn:         tables.AlwaysOnSet,
-			Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Engine: opts.PathEngine},
+			Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil},
 		})
 		if err != nil {
 			return nil, err
@@ -503,7 +507,7 @@ func onDemandSolver(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 		RandomRestarts: opts.RandomRestarts,
 		Seed:           opts.Seed + int64(round)*13,
 		KeepOn:         tables.AlwaysOnSet,
-		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid, Engine: opts.PathEngine},
+		Route:          mcf.RouteOpts{MaxUtil: opts.MaxUtil, Avoid: avoid},
 		Warm:           opts.Warm.stage(round),
 	})
 	if err != nil {
@@ -638,4 +642,3 @@ func incrementalPathWatts(t *topo.Topology, m power.Model, active *topo.ActiveSe
 	}
 	return w
 }
-

@@ -244,15 +244,14 @@ func (dr *deltaRouter) try(t *topo.Topology, active, trial *topo.ActiveSet,
 		dr.routing.Unassign(d.O, d.D, d.Rate)
 	}
 
-	// Place them against the residual network.
-	var rate float64
-	so := loadAwareOptions(ro, dr.routing.Load, &rate)
+	// Place them against the residual network; the trial set is this
+	// trial's alone, so its pass graph is compiled here.
+	g := ro.compile(t, ws)
 	placed := 0
 	ok := true
 	for _, di := range affected {
 		d := dr.sorted[di]
-		rate = d.Rate
-		p, found := ws.ShortestPath(t, d.O, d.D, so)
+		p, found := ws.ShortestPathLoad(t, g, d.O, d.D, dr.routing.Load, d.Rate, ro.LoadPenalty)
 		if !found || p.Empty() {
 			ok = false
 			break
@@ -413,7 +412,8 @@ func OptimalSubsetContext(ctx context.Context, t *topo.Topology, demands []traff
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("mcf: optimal subset: %w", err)
 	}
-	baseline, err := routeDemandsSorted(t, sorted, ro, spf.NewWorkspace())
+	ws := spf.NewWorkspace()
+	baseline, err := routeDemandsSorted(t, sorted, ro, ws)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -424,8 +424,10 @@ func OptimalSubsetContext(ctx context.Context, t *topo.Topology, demands []traff
 		err     error
 	}
 	results := make([]result, len(runs))
-	runOne := func(i int) {
-		a, r, err := greedyMinSubset(ctx, t, sorted, m, runs[i], spf.NewWorkspace(), baseline)
+	// One workspace per worker, not per run: its label arrays and
+	// compiled pass graph amortise across the runs the worker serves.
+	runOne := func(i int, ws *spf.Workspace) {
+		a, r, err := greedyMinSubset(ctx, t, sorted, m, runs[i], ws, baseline)
 		if err != nil {
 			results[i].err = err
 			return
@@ -437,7 +439,7 @@ func OptimalSubsetContext(ctx context.Context, t *topo.Topology, demands []traff
 			if ctx.Err() != nil {
 				break
 			}
-			runOne(i)
+			runOne(i, ws)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -446,8 +448,9 @@ func OptimalSubsetContext(ctx context.Context, t *topo.Topology, demands []traff
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				ws := spf.NewWorkspace()
 				for i := range next {
-					runOne(i)
+					runOne(i, ws)
 				}
 			}()
 		}

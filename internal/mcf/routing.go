@@ -141,6 +141,12 @@ func (r *Routing) Validate(t *topo.Topology, demands []traffic.Demand) error {
 }
 
 // RouteOpts parameterizes the feasibility router.
+//
+// Weight and Avoid must be pure for the duration of one call: the
+// router evaluates them once per arc when it compiles a pass graph
+// (spf.LoadGraph) and reuses the answers for every query of the call,
+// instead of re-asking on every relaxation. Active may grow between
+// the queries of a warm-start repair; the graph is recompiled there.
 type RouteOpts struct {
 	// Active restricts routing to powered elements (nil = all on).
 	Active *topo.ActiveSet
@@ -155,22 +161,27 @@ type RouteOpts struct {
 	// LoadPenalty steers paths away from loaded arcs: the weight is
 	// multiplied by (1 + LoadPenalty·util). Default 3.
 	LoadPenalty float64
-	// Engine selects the point-to-point path solver. Goal-directed
-	// engines are certified-exact (see spf.Engine): routing results are
-	// identical to the reference engine under every choice.
-	Engine spf.Engine
 }
 
 func (o *RouteOpts) defaults() {
-	// Weight stays nil here: loadAwareOptions special-cases the default
-	// (latency) so the innermost Dijkstra loop skips one indirect call
-	// per arc.
+	// Weight stays nil here: spf.LoadGraph.Compile reads the default
+	// (latency) straight off the arc instead of calling a WeightFunc.
 	if o.MaxUtil == 0 {
 		o.MaxUtil = 1.0
 	}
 	if o.LoadPenalty == 0 {
 		o.LoadPenalty = 3
 	}
+}
+
+// compile builds, in ws's graph buffer, the pass graph of everything
+// the options hold constant across load-aware queries: the Active and
+// Avoid survivors with their base weights and MaxUtil-scaled
+// capacities. Defaults must already be applied.
+func (o RouteOpts) compile(t *topo.Topology, ws *spf.Workspace) *spf.LoadGraph {
+	g := ws.LoadGraph()
+	g.Compile(t, o.Active, o.Avoid, o.Weight, o.MaxUtil)
+	return g
 }
 
 // RouteDemands routes every demand unsplittably on the (optionally
@@ -199,15 +210,15 @@ func sortDemands(demands []traffic.Demand) []traffic.Demand {
 func penaltyLadder(base float64) [3]float64 { return [3]float64{base, base * 4, 0} }
 
 // routeDemandsSorted is RouteDemands over a pre-sorted demand list and
-// an explicit Dijkstra workspace.
+// an explicit Dijkstra workspace. The pass graph is compiled once and
+// shared by the whole penalty ladder: the passes differ only in the
+// spreading penalty, which is a query argument.
 func routeDemandsSorted(t *topo.Topology, sorted []traffic.Demand, opts RouteOpts, ws *spf.Workspace) (*Routing, error) {
 	opts.defaults()
-	ladder := penaltyLadder(opts.LoadPenalty)
+	g := opts.compile(t, ws)
 	var lastErr error
-	for _, penalty := range ladder {
-		o := opts
-		o.LoadPenalty = penalty
-		r, err := routePass(t, sorted, o, ws)
+	for _, penalty := range penaltyLadder(opts.LoadPenalty) {
+		r, err := routePass(t, sorted, g, penalty, ws)
 		if err == nil {
 			return r, nil
 		}
@@ -216,63 +227,25 @@ func routeDemandsSorted(t *topo.Topology, sorted []traffic.Demand, opts RouteOpt
 	return nil, lastErr
 }
 
-// routePass is one first-fit-decreasing placement attempt. The weight
-// closure is built once per pass (not per demand) and every search runs
-// through ws, so the pass allocates only the routing it returns.
-func routePass(t *topo.Topology, sorted []traffic.Demand, opts RouteOpts, ws *spf.Workspace) (*Routing, error) {
+// routePass is one first-fit-decreasing placement attempt over the
+// compiled pass graph g. Every search runs through ws, so the pass
+// allocates only the routing it returns.
+func routePass(t *topo.Topology, sorted []traffic.Demand, g *spf.LoadGraph, penalty float64,
+	ws *spf.Workspace) (*Routing, error) {
+
 	r := NewRouting(t)
-	var rate float64
-	so := loadAwareOptions(opts, r.Load, &rate)
 	for _, d := range sorted {
 		if d.O == d.D || d.Rate == 0 {
 			r.Paths[[2]topo.NodeID{d.O, d.D}] = topo.Path{}
 			continue
 		}
-		rate = d.Rate
-		p, ok := ws.ShortestPath(t, d.O, d.D, so)
+		p, ok := ws.ShortestPathLoad(t, g, d.O, d.D, r.Load, d.Rate, penalty)
 		if !ok || p.Empty() {
 			return nil, fmt.Errorf("%w: %d->%d rate %.3g", ErrInfeasible, d.O, d.D, d.Rate)
 		}
 		r.Assign(d.O, d.D, p, d.Rate)
 	}
 	return r, nil
-}
-
-// loadAwareOptions builds the capacity-pruning, load-penalized search
-// options over a live load vector; *rate selects the demand being
-// placed. The same closure serves a whole pass. The default latency
-// weight is inlined rather than dispatched through a WeightFunc.
-func loadAwareOptions(opts RouteOpts, load []float64, rate *float64) spf.Options {
-	var w spf.WeightFunc
-	if base := opts.Weight; base == nil {
-		w = func(a topo.Arc) float64 {
-			capa := a.Capacity * opts.MaxUtil
-			if load[a.ID]+*rate > capa+1e-9 {
-				return math.Inf(1) // would overflow: prune
-			}
-			util := load[a.ID] / capa
-			return a.Latency * (1 + opts.LoadPenalty*util)
-		}
-	} else {
-		w = func(a topo.Arc) float64 {
-			capa := a.Capacity * opts.MaxUtil
-			if load[a.ID]+*rate > capa+1e-9 {
-				return math.Inf(1) // would overflow: prune
-			}
-			util := load[a.ID] / capa
-			return base(a) * (1 + opts.LoadPenalty*util)
-		}
-	}
-	return spf.Options{
-		Weight: w,
-		Active: opts.Active,
-		Avoid:  opts.Avoid,
-		Engine: opts.Engine,
-		// The load penalty only inflates the base weight (factor ≥ 1),
-		// so with the default latency base the landmark latency bounds
-		// stay admissible.
-		LatencyBound: opts.Weight == nil,
-	}
 }
 
 // Feasible reports whether all demands fit on the active subgraph.

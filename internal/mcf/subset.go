@@ -229,28 +229,33 @@ func (s *subsetSearch) repair(hint *topo.ActiveSet, ws *spf.Workspace) (*Routing
 	if r, err := routeDemandsSorted(s.t, s.sorted, ro, ws); err == nil {
 		return r, true, nil
 	}
+	// The hint graph is a snapshot of the hint set, so it is recompiled
+	// every time a woken path grows the set; the full-network fallback
+	// graph is needed only once some demand misses, and keeps its own
+	// buffer because both are live at once.
 	r := NewRouting(s.t)
-	var rate float64
-	so := loadAwareOptions(ro, r.Load, &rate)
-	roFull := s.ro
-	roFull.Active = nil
-	soFull := loadAwareOptions(roFull, r.Load, &rate)
+	g := ro.compile(s.t, ws)
+	var full *spf.LoadGraph
 	for _, d := range s.sorted {
 		if d.O == d.D || d.Rate == 0 {
 			r.Paths[[2]topo.NodeID{d.O, d.D}] = topo.Path{}
 			continue
 		}
-		rate = d.Rate
-		p, ok := ws.ShortestPath(s.t, d.O, d.D, so)
+		p, ok := ws.ShortestPathLoad(s.t, g, d.O, d.D, r.Load, d.Rate, ro.LoadPenalty)
 		if !ok || p.Empty() {
 			// Disconnected (or saturated) on the hint: place on the full
-			// network and wake the path. Later searches see the expanded
-			// hint because the Active pointer is shared.
-			p, ok = ws.ShortestPath(s.t, d.O, d.D, soFull)
+			// network and wake the path, so later searches see the
+			// expanded hint.
+			if full == nil {
+				full = new(spf.LoadGraph)
+				full.Compile(s.t, nil, ro.Avoid, ro.Weight, ro.MaxUtil)
+			}
+			p, ok = ws.ShortestPathLoad(s.t, full, d.O, d.D, r.Load, d.Rate, ro.LoadPenalty)
 			if !ok || p.Empty() {
 				return nil, false, fmt.Errorf("%w: %d->%d rate %.3g", ErrInfeasible, d.O, d.D, d.Rate)
 			}
 			hint.ActivatePath(s.t, p)
+			g = ro.compile(s.t, ws)
 		}
 		r.Assign(d.O, d.D, p, d.Rate)
 	}

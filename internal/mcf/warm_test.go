@@ -2,11 +2,13 @@ package mcf
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"response/internal/power"
 	"response/internal/spf"
 	"response/internal/topo"
+	"response/internal/traffic"
 )
 
 // TestWarmFromColdIsIdentical is the warm-start exactness property: in
@@ -204,5 +206,53 @@ func TestHopelessLinksSoundness(t *testing.T) {
 				t.Errorf("%s: link %d flagged hopeless but removal still routes", name, l)
 			}
 		}
+	}
+}
+
+// TestRepairSeesGrownHint is the stale-graph regression of the
+// compiled pass graph: both demands are disconnected on the warm hint
+// (their source router is off), the first one's full-network path wakes
+// a→b→c, and the second must then route over those woken elements —
+// a→b→c→e, not its shorter full-network path a→e. A hint graph that is
+// not recompiled after ActivatePath still sees a powered off, sends the
+// second demand to the full network too, and wakes the a–e link.
+func TestRepairSeesGrownHint(t *testing.T) {
+	tp := topo.New("grown-hint")
+	a := tp.AddNode("a", topo.KindRouter)
+	b := tp.AddNode("b", topo.KindRouter)
+	c := tp.AddNode("c", topo.KindRouter)
+	e := tp.AddNode("e", topo.KindRouter)
+	tp.AddLink(a, b, topo.Gbps, 1e-3)
+	tp.AddLink(b, c, topo.Gbps, 1e-3)
+	ce := tp.AddLink(c, e, topo.Gbps, 1e-3)
+	ae := tp.AddLink(a, e, topo.Gbps, 2.5e-3)
+	sorted := sortDemands([]traffic.Demand{
+		{O: a, D: e, Rate: 1},
+		{O: a, D: c, Rate: 2},
+	})
+	hint := topo.AllOff(tp)
+	hint.Router[c], hint.Router[e], hint.Link[ce] = true, true, true
+
+	s := newSubsetSearch(tp, sorted, power.Cisco12000{}, OptimalOpts{})
+	r, fresh, err := s.repair(hint, spf.NewWorkspace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh {
+		t.Fatal("repair reported a from-scratch solve on a hint it had to grow")
+	}
+	arc := func(from, to topo.NodeID) topo.ArcID {
+		id, ok := tp.ArcBetween(from, to)
+		if !ok {
+			t.Fatalf("no arc %d->%d", from, to)
+		}
+		return id
+	}
+	want := []topo.ArcID{arc(a, b), arc(b, c), arc(c, e)}
+	if got, _ := r.Path(a, e); !slices.Equal(got.Arcs, want) {
+		t.Fatalf("a→e routed on %v, want the grown hint's %v", got.Arcs, want)
+	}
+	if hint.Link[ae] {
+		t.Error("repair woke the a–e link: the second demand was routed on the full network")
 	}
 }

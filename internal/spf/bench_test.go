@@ -36,6 +36,29 @@ func BenchmarkShortestPathWorkspace(b *testing.B) {
 	}
 }
 
+// BenchmarkShortestPathLoad is the same query through the compiled
+// load-aware kernel, over a half-loaded network: the form every mcf
+// routing pass issues. The compile step is outside the loop, as it is
+// outside a pass's query loop.
+func BenchmarkShortestPathLoad(b *testing.B) {
+	g := topo.NewGeant()
+	ws := NewWorkspace()
+	lg := ws.LoadGraph()
+	lg.Compile(g, nil, nil, nil, 1)
+	load := make([]float64, g.NumArcs())
+	for i, a := range g.Arcs() {
+		load[i] = a.Capacity * float64(i%3) / 4
+	}
+	n := topo.NodeID(g.NumNodes() - 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := ws.ShortestPathLoad(g, lg, 0, n, load, 1, 3); !ok {
+			b.Fatal("no path")
+		}
+	}
+}
+
 func BenchmarkKShortest(b *testing.B) {
 	g := topo.NewGeant()
 	n := topo.NodeID(g.NumNodes() - 1)

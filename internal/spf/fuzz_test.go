@@ -5,6 +5,9 @@ package spf_test
 // active subset is disconnected: for arbitrary (family, size, seed,
 // link knockout, query) tuples the engines must not panic and must
 // return exactly the reference's paths — or the same "no path" verdict.
+// The same mutated instance also goes through the load-aware kernel's
+// differential oracle (diffLoadKernel), which derives its avoid set,
+// loads and rates from the knockout word.
 
 import (
 	"math/rand"
@@ -21,6 +24,8 @@ func FuzzKShortestEngines(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(8), uint16(1), uint16(4), uint8(2), uint64(0xffff))
 	f.Add(int64(4), uint8(3), uint8(3), uint16(5), uint16(6), uint8(4), uint64(1))
 	f.Add(int64(5), uint8(4), uint8(3), uint16(7), uint16(2), uint8(1), uint64(0xdead))
+	// Load kernel on a tie-saturated fat-tree with a quarter of its links dark.
+	f.Add(int64(6), uint8(0), uint8(1), uint16(1), uint16(6), uint8(2), uint64(0x10ad))
 	f.Fuzz(func(t *testing.T, seed int64, famIdx, size uint8, oi, di uint16, k uint8, knockout uint64) {
 		fams := topogen.Families()
 		fam := fams[int(famIdx)%len(fams)]
@@ -64,6 +69,9 @@ func FuzzKShortestEngines(f *testing.F) {
 		if o == d {
 			t.Skip()
 		}
+		lrng := rand.New(rand.NewSource(seed ^ int64(knockout)))
+		diffLoadKernel(t, g, opts.Active, randomAvoid(g, lrng), nil,
+			append(anyPairs(g, lrng, 8), [2]topo.NodeID{o, d}), lrng)
 		kk := 1 + int(k%6)
 		ref := spf.KShortest(g, o, d, kk, opts)
 		refP, refOK := spf.ShortestPath(g, o, d, opts)

@@ -12,6 +12,13 @@
 // perform no per-search allocations; the package-level functions below
 // draw workspaces from a pool for callers that don't manage their own.
 //
+// The feasibility router's load-aware queries — the bulk of a plan —
+// run a specialised kernel over a compiled pass graph instead of the
+// generic loop (LoadGraph, Workspace.ShortestPathLoad in loadgraph.go):
+// same heap, same relaxation order, same float operations, so ties
+// break identically; only the per-arc predicate and weight dispatch is
+// hoisted out.
+//
 // Point-to-point queries can additionally run through a goal-directed
 // engine (Options.Engine: EngineALT over cached landmark lower bounds,
 // or EngineBidirectional). Both are certified-exact: a query either

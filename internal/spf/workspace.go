@@ -27,6 +27,11 @@ type Workspace struct {
 	scratch []topo.ArcID // path reversal buffer
 	src     topo.NodeID
 
+	// lg is the compiled pass graph of the load-aware kernel (see
+	// loadgraph.go); its buffers live here so they amortise across the
+	// passes a workspace serves.
+	lg LoadGraph
+
 	// Goal-directed state (see goal.go). The landmark table is cached
 	// per topology pointer; the h-cache memoizes HBound per node per
 	// query epoch; the b* arrays are the backward half of bidirectional

@@ -25,7 +25,8 @@ type config struct {
 	engineSet  bool
 }
 
-// Path engine names accepted by WithPathEngine.
+// Path engine names accepted by WithPathEngine. The engine serves the
+// plan's K-shortest and failover searches only.
 const (
 	// PathEngineReference is the default engine: the exact Dijkstra /
 	// Yen implementation whose outputs the plan fingerprints pin.
@@ -33,20 +34,25 @@ const (
 	// PathEngineALT is certified A* over landmark lower bounds: every
 	// query either provably reproduces the reference answer or is
 	// transparently re-run through the reference engine, so plans are
-	// bit-identical — only faster on goal-friendly topologies.
+	// bit-identical — only faster, on goal-friendly topologies, in the
+	// K-shortest and failover searches the engine serves.
 	PathEngineALT = "alt"
 	// PathEngineBidirectional is certified bidirectional Dijkstra,
 	// with the same exact-or-fallback contract as PathEngineALT.
 	PathEngineBidirectional = "bidirectional"
 )
 
-// WithPathEngine selects the shortest-path solver used by every search
-// the plan issues: PathEngineReference (the default), PathEngineALT or
-// PathEngineBidirectional. The goal-directed engines are
-// certified-exact — a query they cannot prove bit-identical to the
-// reference engine's falls back to it — so the engine choice never
-// changes a plan, only how fast it is computed. An unknown name is
-// reported as an error when Plan runs.
+// WithPathEngine selects the shortest-path solver used by the plan's
+// K-shortest searches (the latency-bound repair, ModeHeuristic's
+// candidate paths) and failover searches: PathEngineReference (the
+// default), PathEngineALT or PathEngineBidirectional. It does not apply
+// to the feasibility router's load-aware queries — the bulk of a
+// plan's time — which always run the compiled kernel, so a whole plan
+// takes about the same time under every engine. The goal-directed
+// engines are certified-exact — a query they cannot prove bit-identical
+// to the reference engine's falls back to it — so the engine choice
+// never changes a plan, only how fast those searches are computed. An
+// unknown name is reported as an error when Plan runs.
 func WithPathEngine(name string) Option {
 	return func(c *config) { c.pathEngine, c.engineSet = name, true }
 }
