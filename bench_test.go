@@ -11,7 +11,7 @@ package response_test
 //
 // reproduces the entire evaluation. Traces are shortened relative to
 // the paper (2 days instead of 15/8) to keep a full run in minutes;
-// cmd/response-bench runs the longer versions.
+// cmd/response-bench (without -quick) runs the 8-day versions.
 
 import (
 	"testing"

@@ -1,35 +1,13 @@
 // Command response-bench runs the complete evaluation — every figure
 // and table of the paper — and prints paper-style output with the
 // published numbers alongside for comparison. This is the one-shot
-// reproduction entry point; see EXPERIMENTS.md for the recorded
-// paper-vs-measured table.
+// reproduction entry point; DESIGN.md §5 indexes the experiments.
 //
-// With -gen it instead runs the generated-topology scale sweep: plan
-// time and hot-swap cost over fat-tree and Waxman instances (to 245
-// and 200 nodes), every plan vetted by the invariant checker, with the
-// result written as JSON (default BENCH_gen.json). Any invariant
-// violation makes the run exit non-zero, so CI can gate on it.
-//
-// With -warm it runs the warm-start replan benchmark: for each
-// "family:size" of -warmspec it times a cold plan and a warm replan
-// seeded from it, printing the speedup. -warmgate N makes the run exit
-// non-zero if any warm replan exceeds N milliseconds — the CI
-// planner-scaling gate.
-//
-// With -paths it runs the path-engine benchmark: a fixed point-to-point
-// K-shortest query workload through the reference engine and each
-// goal-directed engine (ALT, bidirectional), cross-checked for byte
-// equality, with the result written as JSON (default BENCH_paths.json).
-// -pathgate makes the run exit non-zero if any answer mismatches or a
-// goal-directed engine loses to reference on the 200-node Waxman — the
-// CI path-engine gate.
+// Performance is measured elsewhere: bash bench/run.sh (DESIGN.md §5.1).
 //
 // Usage:
 //
 //	response-bench [-quick]
-//	response-bench -gen [-quick] [-genout BENCH_gen.json]
-//	response-bench -warm [-warmspec fattree:14] [-warmgate 2000]
-//	response-bench -paths [-pathspec waxman:200] [-pathgate]
 package main
 
 import (
@@ -44,40 +22,12 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "smaller traces (2 days, coarser strides); with -gen, small sweep sizes")
-	gen := flag.Bool("gen", false, "run the generated-topology scale sweep instead of the figure suite")
-	genout := flag.String("genout", "BENCH_gen.json", "output path of the -gen sweep JSON")
-	warm := flag.Bool("warm", false, "run the warm-start replan benchmark instead of the figure suite")
-	warmspec := flag.String("warmspec", "fattree:8,fattree:14,waxman:50", "comma-separated family:size list for -warm")
-	warmgate := flag.Float64("warmgate", 0, "with -warm, exit non-zero if any warm replan exceeds this many ms (0 = no gate)")
-	tracebench := flag.Bool("trace", false, "run the trace-store ingest/query benchmark instead of the figure suite")
-	traceout := flag.String("traceout", "BENCH_trace.json", "output path of the -trace benchmark JSON")
-	traceevents := flag.Int("traceevents", 1<<20, "with -trace, synthetic stream size in events (-quick divides by 8)")
-	paths := flag.Bool("paths", false, "run the path-engine K-shortest benchmark instead of the figure suite")
-	pathspec := flag.String("pathspec", "fattree:6,waxman:50,waxman:200", "comma-separated family:size list for -paths")
-	pathout := flag.String("pathout", "BENCH_paths.json", "output path of the -paths benchmark JSON")
-	pathgate := flag.Bool("pathgate", false, "with -paths, exit non-zero if a goal-directed engine loses to reference on the 200-node Waxman (or any answer mismatches)")
+	quick := flag.Bool("quick", false, "smaller traces (2 days, coarser strides)")
 	flag.Parse()
-
-	if *gen {
-		runGenSweep(*quick, *genout)
-		return
-	}
-	if *warm {
-		runWarmBench(*warmspec, *warmgate)
-		return
-	}
-	if *paths {
-		runPathBench(*pathspec, *pathout, *pathgate)
-		return
-	}
-	if *tracebench {
-		n := *traceevents
-		if *quick {
-			n /= 8
-		}
-		runTraceBench(n, *traceout)
-		return
+	if flag.NArg() != 0 {
+		fmt.Fprintf(flag.CommandLine.Output(), "response-bench: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	days, stride := 8, 2
@@ -163,78 +113,5 @@ func main() {
 func fail(err error) {
 	if err != nil {
 		log.Fatal(err)
-	}
-}
-
-// runGenSweep executes the generated-topology sweep, prints the table,
-// writes the JSON artifact and exits non-zero on invariant violations.
-func runGenSweep(quick bool, out string) {
-	start := time.Now()
-	sweep, err := experiments.RunGeneratedSweep(experiments.GenSweepOpts{Quick: quick})
-	fail(err)
-	sweep.Print(os.Stdout)
-	f, err := os.Create(out)
-	fail(err)
-	fail(sweep.WriteJSON(f))
-	fail(f.Close())
-	fmt.Printf("\nwrote %s in %s\n", out, time.Since(start).Round(time.Millisecond))
-	if n := sweep.Violations(); n > 0 {
-		log.Fatalf("generated sweep found %d invariant violation(s)", n)
-	}
-}
-
-// runTraceBench executes the trace-store ingest/query benchmark,
-// prints the table and writes the JSON artifact. A top-ranked
-// critical-path link outside the synthetic burst makes the run exit
-// non-zero — the CI diagnosis gate.
-func runTraceBench(events int, out string) {
-	start := time.Now()
-	bench, err := experiments.RunTraceBench(events, 0)
-	fail(err)
-	bench.Print(os.Stdout)
-	f, err := os.Create(out)
-	fail(err)
-	fail(bench.WriteJSON(f))
-	fail(f.Close())
-	fmt.Printf("\nwrote %s in %s\n", out, time.Since(start).Round(time.Millisecond))
-	if !bench.CriticalTopIsBurst {
-		log.Fatal("critical-path query did not rank a burst link first")
-	}
-}
-
-// runPathBench executes the path-engine K-shortest benchmark, writes
-// the JSON artifact, and with -pathgate exits non-zero on any answer
-// mismatch or if a goal-directed engine loses to the reference engine
-// on the 200-node Waxman instance — the CI path-engine gate.
-func runPathBench(spec, out string, gate bool) {
-	start := time.Now()
-	bench, err := experiments.RunPathBench(spec, 0, 0)
-	fail(err)
-	bench.Print(os.Stdout)
-	f, err := os.Create(out)
-	fail(err)
-	fail(bench.WriteJSON(f))
-	fail(f.Close())
-	fmt.Printf("\nwrote %s in %s\n", out, time.Since(start).Round(time.Millisecond))
-	if n := bench.Mismatches(); n > 0 {
-		log.Fatalf("path-engine bench found %d cross-check mismatch(es)", n)
-	}
-	if gate {
-		if s := bench.WorstSpeedup("waxman", 200); s > 0 && s < 1 {
-			log.Fatalf("goal-directed engine lost to reference on waxman-200: %.2fx", s)
-		}
-	}
-}
-
-// runWarmBench executes the warm-start replan benchmark and applies
-// the optional latency gate.
-func runWarmBench(spec string, gateMs float64) {
-	start := time.Now()
-	bench, err := experiments.RunWarmBench(spec)
-	fail(err)
-	bench.Print(os.Stdout)
-	fmt.Printf("\ntotal runtime: %s\n", time.Since(start).Round(time.Millisecond))
-	if gateMs > 0 && bench.MaxWarmMs() > gateMs {
-		log.Fatalf("warm replan took %.1f ms, gate is %.0f ms", bench.MaxWarmMs(), gateMs)
 	}
 }

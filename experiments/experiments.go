@@ -41,81 +41,9 @@ type (
 	AlwaysOnShare = iexp.AlwaysOnShare
 	// StressSweep is the §4.2 stress-exclusion sensitivity sweep.
 	StressSweep = iexp.StressSweep
-	// Online is a large-scale online-runtime scenario result (counters,
-	// behavioral fingerprint, delivered fraction).
-	Online = iexp.Online
-	// GenSweep is the generated-topology scale sweep: plan time, swap
-	// cost and invariant findings as a function of network size.
-	GenSweep = iexp.GenSweep
-	// GenPoint is one instance of a GenSweep.
-	GenPoint = iexp.GenPoint
-	// GenSweepOpts parameterizes RunGeneratedSweep.
-	GenSweepOpts = iexp.GenSweepOpts
-	// WarmBench is the warm-start replan benchmark (cold plan vs warm
-	// replan per generated instance).
-	WarmBench = iexp.WarmBench
-	// TraceBench is the trace-store ingest/query benchmark (synthetic
-	// incident stream through response/tracestore).
-	TraceBench = iexp.TraceBench
-	// WarmPoint is one instance of a WarmBench.
-	WarmPoint = iexp.WarmPoint
-	// PathBench is the path-engine benchmark: a fixed K-shortest query
-	// workload through the reference engine versus the goal-directed
-	// ones, every answer cross-checked for byte equality.
-	PathBench = iexp.PathBench
-	// PathPoint is one instance × engine cell of a PathBench.
-	PathPoint = iexp.PathPoint
 	// Point is one (x, y) sample of a result curve.
 	Point = stats.Point
 )
-
-// OnlineScenarios lists the runnable online scenario names.
-func OnlineScenarios() []string { return iexp.OnlineScenarios() }
-
-// RunOnline executes a named online-runtime scenario (diurnal replay,
-// flash crowd, failure storm, rolling repair, click failover) with the
-// given managed-flow count, seed and simulated duration. Deterministic
-// under identical arguments.
-func RunOnline(name string, flows int, seed int64, durationSec float64, fullAlloc, meterPower bool) (Online, error) {
-	return iexp.RunOnline(name, flows, seed, durationSec, fullAlloc, meterPower)
-}
-
-// RunGeneratedSweep plans a sweep of generated fat-tree and Waxman
-// instances (up to 245 and 200 nodes in the full sweep), vets every
-// plan with the invariant checker, and measures plan time plus the
-// cost of hot-swapping a demand-aware replan into a loaded controller.
-// cmd/response-bench -gen writes the result as BENCH_gen.json.
-func RunGeneratedSweep(opts GenSweepOpts) (GenSweep, error) {
-	return iexp.RunGeneratedSweep(opts)
-}
-
-// RunWarmBench times cold plans against warm replans seeded from them
-// for each "family:size" of a comma-separated spec (e.g.
-// "fattree:14,waxman:50"). cmd/response-bench -warm drives it; CI
-// gates on WarmBench.MaxWarmMs.
-func RunWarmBench(spec string) (WarmBench, error) {
-	return iexp.RunWarmBench(spec)
-}
-
-// RunPathBench times a fixed point-to-point K-shortest workload on
-// each instance of a "family:size[,…]" spec through the reference path
-// engine and each goal-directed engine (ALT, bidirectional),
-// cross-checking every answer for byte equality. maxQueries and
-// repeats ≤ 0 select defaults (120 queries, best of 3 passes).
-// cmd/response-bench -paths drives it and records BENCH_paths.json; CI
-// gates on PathBench.WorstSpeedup and PathBench.Mismatches.
-func RunPathBench(spec string, maxQueries, repeats int) (PathBench, error) {
-	return iexp.RunPathBench(spec, maxQueries, repeats)
-}
-
-// RunTraceBench renders a synthetic events-sized incident stream
-// through the JSONL flight recorder, ingests it into a trace store and
-// times the progressive-disclosure query tiers. queryIters ≤ 0 selects
-// the default iteration count. cmd/response-bench -trace drives it and
-// records BENCH_trace.json.
-func RunTraceBench(events, queryIters int) (TraceBench, error) {
-	return iexp.RunTraceBench(events, queryIters)
-}
 
 // RunFig1a regenerates Figure 1a over a trace of the given length.
 func RunFig1a(days int) Fig1a { return iexp.RunFig1a(days) }

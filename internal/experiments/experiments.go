@@ -1,7 +1,7 @@
 // Package experiments wires the substrates into the paper's evaluation:
 // one entry point per figure/table of §3 and §5, each returning a
-// structured result that the CLI tools print and the benchmark harness
-// regenerates. EXPERIMENTS.md records paper-vs-measured for each.
+// structured result that the CLI tools print and the root bench_test.go
+// regenerates. DESIGN.md §5 indexes them against the paper's claims.
 //
 // Every experiment is deterministic (fixed seeds) so repeated runs give
 // identical tables.

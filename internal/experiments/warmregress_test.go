@@ -10,12 +10,13 @@ import (
 )
 
 // TestWarmReplanNotSlowerFatTree6 pins the k=6 fat-tree warm-replan
-// regression once visible in BENCH_gen.json (warm 485 ms vs cold
-// 449 ms): when the warm seed cannot help — the repaired hint already
-// burns more power than the tolerance admits — the warm plan must bail
-// to the cold search early instead of paying for a doomed descent on
-// top of the cold plan. The pin is warm ≤ cold × 1.1 (min of three
-// runs each, so scheduler noise does not flake the bound).
+// regression (a drifted-demand warm replan once ran 8 % slower than the
+// cold one on this instance): when the warm seed cannot help — the
+// repaired hint already burns more power than the tolerance admits —
+// the warm plan must bail to the cold search early instead of paying
+// for a doomed descent on top of the cold plan. The pin is warm ≤ cold
+// × 1.1 (min of three runs each, so scheduler noise does not flake the
+// bound).
 func TestWarmReplanNotSlowerFatTree6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing regression test; skipped in -short")

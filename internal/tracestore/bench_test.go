@@ -1,9 +1,9 @@
 package tracestore
 
-// Ingest and query benchmarks. BENCH_trace.json is recorded by
-// cmd/response-bench -trace (a 1M-event synthetic incident stream);
-// these cover the same paths at Go-bench granularity so -benchmem
-// regressions show up in the CI log.
+// Ingest and query benchmarks. The trace-drill workload of
+// BENCHMARK.json measures ingest_events_per_s and drill_p50_ms on a
+// 512Ki-event synthetic incident stream; these cover the same paths at
+// Go-bench granularity so -benchmem regressions show up in the CI log.
 
 import (
 	"fmt"

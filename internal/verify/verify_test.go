@@ -146,7 +146,8 @@ func TestGeneratedCorpusDiffGreedy(t *testing.T) {
 // fingerprint-identical — or power-equal within the documented
 // tolerance with a byte-identical always-on stage, reported explicitly
 // — with zero invariant violations. This is the end-to-end proof that
-// incremental replans cannot drift.
+// incremental replans cannot drift. Each instance is then replanned
+// warm for a drifted demand and that plan, too, must be violation-free.
 func TestGeneratedCorpusDiffWarmStart(t *testing.T) {
 	identical, powerEqual := 0, 0
 	var mu sync.Mutex
@@ -181,6 +182,15 @@ func TestGeneratedCorpusDiffWarmStart(t *testing.T) {
 						opts := verify.Opts{TM: inst.Shape, NetScale: inst.MaxScale}
 						if err := verify.CheckTables(inst.Topo, warm.Tables(), opts).Err(); err != nil {
 							t.Error(err)
+						}
+
+						// The lifecycle's real replan: demand drifted to the
+						// matched matrix, seeded from the installed plan. The
+						// differential oracle does not apply (inputs changed),
+						// the table invariants do.
+						drifted := planInstance(t, inst, response.WithLowMatrix(inst.TM), response.WithWarmStart(cold))
+						if err := verify.CheckTables(inst.Topo, drifted.Tables(), opts).Err(); err != nil {
+							t.Errorf("drifted-demand warm replan: %v", err)
 						}
 					})
 				}
