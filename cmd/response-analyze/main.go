@@ -171,17 +171,13 @@ func printWarmVerdict(w *os.File, g *topology.Topology, a, b *response.Plan, tol
 
 // resolveTopo parses the -topo spec.
 func resolveTopo(spec string) (*topology.Topology, error) {
-	switch spec {
-	case "geant":
-		return topology.NewGeant(), nil
-	case "abovenet":
-		return topology.NewAbovenet(), nil
-	case "genuity":
-		return topology.NewGenuity(), nil
-	}
 	parts := strings.Split(spec, ":")
 	if len(parts) != 4 || parts[0] != "gen" {
-		return nil, fmt.Errorf(`unknown -topo %q: want a builtin (geant, abovenet, genuity) or "gen:<family>:<size>:<seed>"`, spec)
+		g, err := topology.Builtin(spec)
+		if err != nil {
+			return nil, fmt.Errorf(`-topo: %w, or "gen:<family>:<size>:<seed>"`, err)
+		}
+		return g, nil
 	}
 	size, err := strconv.Atoi(parts[2])
 	if err != nil {

@@ -157,12 +157,6 @@ func printPlan(t *topology.Topology, plan *response.Plan, showPairs int) {
 
 func buildTopo(name string) (*topology.Topology, error) {
 	switch name {
-	case "geant":
-		return topology.NewGeant(), nil
-	case "abovenet":
-		return topology.NewAbovenet(), nil
-	case "genuity":
-		return topology.NewGenuity(), nil
 	case "pop-access":
 		return topology.NewPopAccess(topology.PopAccessOpts{}).Topology, nil
 	case "fattree4":
@@ -174,5 +168,9 @@ func buildTopo(name string) (*topology.Topology, error) {
 	case "fig3":
 		return topology.NewExample(topology.ExampleOpts{}).Topology, nil
 	}
-	return nil, fmt.Errorf("unknown topology %q", name)
+	g, err := topology.Builtin(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w, or pop-access, fattree4, fig3", err)
+	}
+	return g, nil
 }

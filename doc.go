@@ -36,7 +36,7 @@
 // Replans need not start from scratch: WithWarmStart(prev) seeds every
 // subset-search stage from the corresponding stage of a previous plan
 // and re-proves only the delta — a criticality-ordered descent under a
-// power-regression gate (WithWarmTolerance, default 5%), falling back
+// power-regression gate (5% over the seed's power), falling back
 // to the cold search whenever the seed is unusable, so warm-starting
 // never changes what is plannable. With unchanged inputs the warm plan
 // is fingerprint-identical to the cold plan in the capacity-slack

@@ -286,18 +286,3 @@ func arrivalTime(samples []sim.Sample, need float64) (float64, bool) {
 	frac := (need - prev.Value) / (cur.Value - prev.Value)
 	return prev.Time + frac*(cur.Time-prev.Time), true
 }
-
-// PlayableFraction is a convenience accessor: fraction of clients whose
-// playable percentage is at least pct.
-func (r *StreamingResult) PlayableFraction(pct float64) float64 {
-	if len(r.Clients) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range r.Clients {
-		if c.PlayablePct >= pct {
-			n++
-		}
-	}
-	return float64(n) / float64(len(r.Clients))
-}

@@ -134,10 +134,6 @@ func (s *Server) TraceStore() *tracestore.Store { return s.store }
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Draining reports whether a drain has begun (mutating requests are
-// being refused).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully shuts the daemon down: refuse new mutations,
 // cancel every queued and running plan job, stop every tenant loop
 // (each lifecycle manager stops on its own goroutine) and end every

@@ -160,16 +160,9 @@ func buildTopology(spec TopologySpec) (*topo.Topology, []topo.NodeID, error) {
 	}
 	switch {
 	case spec.Builtin != "":
-		var g *topo.Topology
-		switch spec.Builtin {
-		case "geant":
-			g = topo.NewGeant()
-		case "abovenet":
-			g = topo.NewAbovenet()
-		case "genuity":
-			g = topo.NewGenuity()
-		default:
-			return nil, nil, fmt.Errorf("unknown builtin topology %q (have: geant, abovenet, genuity)", spec.Builtin)
+		g, err := topo.Builtin(spec.Builtin)
+		if err != nil {
+			return nil, nil, err
 		}
 		return g, core.DefaultEndpoints(g), nil
 	case spec.Gen != nil:

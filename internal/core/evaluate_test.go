@@ -109,59 +109,3 @@ func TestEvaluateOverloadFallback(t *testing.T) {
 		t.Errorf("placed %v, want the full 30 Mbps (run hot, not drop)", total)
 	}
 }
-
-func TestAnalyzeTopologyChanges(t *testing.T) {
-	g, tb := planGeant(t, PlanOpts{})
-	impacts := tb.AnalyzeTopologyChanges()
-	if len(impacts) != g.NumLinks() {
-		t.Fatalf("impacts = %d, want %d", len(impacts), g.NumLinks())
-	}
-	replan := tb.ReplanWorthyFailures()
-	// GÉANT has degree-1 spurs (IE); their links are genuine bridges
-	// and must be flagged; the meshed core must not be.
-	bridges := 0
-	for _, l := range g.Links() {
-		if g.Degree(l.A) == 1 || g.Degree(l.B) == 1 {
-			bridges++
-		}
-	}
-	if len(replan) < bridges {
-		t.Errorf("replan-worthy = %d, want at least the %d spur bridges", len(replan), bridges)
-	}
-	if len(replan) > g.NumLinks()/2 {
-		t.Errorf("replan-worthy = %d of %d — tables far too fragile", len(replan), g.NumLinks())
-	}
-}
-
-func TestTruncateTables(t *testing.T) {
-	_, tb := planGeant(t, PlanOpts{N: 5})
-	cut := tb.Truncate(2) // Dual-Topology-Routing-style: 2 tables
-	for _, ps := range cut.Pairs {
-		if len(ps.OnDemand) != 0 {
-			t.Fatalf("truncated on-demand = %d, want 0", len(ps.OnDemand))
-		}
-		if ps.AlwaysOn.Empty() {
-			t.Fatal("always-on lost")
-		}
-	}
-	if err := cut.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cut3 := tb.Truncate(3)
-	for _, ps := range cut3.Pairs {
-		if len(ps.OnDemand) != 1 {
-			t.Fatalf("n=3 on-demand = %d, want 1", len(ps.OnDemand))
-		}
-		break
-	}
-	// Truncation can only reduce (or keep) evaluated power headroom:
-	// fewer levels, same always-on.
-	m := power.Cisco12000{}
-	tm := traffic.Gravity(tb.Topo, traffic.GravityOpts{TotalRate: 3 * topo.Gbps})
-	full := tb.Evaluate(tm, m, 0.9)
-	trunc := cut.Evaluate(tm, m, 0.9)
-	if trunc.Overloaded < full.Overloaded {
-		t.Errorf("truncated tables overload less (%d) than full (%d)?",
-			trunc.Overloaded, full.Overloaded)
-	}
-}

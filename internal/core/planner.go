@@ -351,7 +351,7 @@ func enforceLatencyBound(t *topo.Topology, tables *Tables, opts PlanOpts,
 			if c.Latency(t) > bound {
 				continue
 			}
-			cost := incrementalPathWatts(t, opts.Model, active, c)
+			cost := mcf.IncrementalWatts(t, opts.Model, active, c)
 			if cost < bestCost {
 				best, bestCost = c, cost
 			}
@@ -612,33 +612,4 @@ func planFailover(t *topo.Topology, tables *Tables, eng spf.Engine) {
 		}
 		ps.Failover = p
 	}
-}
-
-// incrementalPathWatts prices the elements p would newly activate
-// beyond active (mirrors mcf's packer costing; kept here to avoid
-// exporting it from mcf for one caller).
-func incrementalPathWatts(t *topo.Topology, m power.Model, active *topo.ActiveSet, p topo.Path) float64 {
-	var w float64
-	seen := map[topo.LinkID]bool{}
-	touch := func(n topo.NodeID) {
-		node := t.Node(n)
-		if node.Kind != topo.KindHost && !active.Router[n] {
-			w += m.ChassisWatts(node)
-		}
-	}
-	if p.Empty() {
-		return 0
-	}
-	touch(p.Origin(t))
-	for _, aid := range p.Arcs {
-		a := t.Arc(aid)
-		touch(a.To)
-		if !active.Link[a.Link] && !seen[a.Link] {
-			seen[a.Link] = true
-			l := t.Link(a.Link)
-			w += m.PortWatts(t.Node(l.A), t.Arc(l.AB)) +
-				m.PortWatts(t.Node(l.B), t.Arc(l.BA)) + 2*m.AmpWatts(l)
-		}
-	}
-	return w
 }

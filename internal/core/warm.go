@@ -16,8 +16,6 @@ type WarmStart struct {
 	// OnDemand seeds the on-demand rounds, one entry per round; rounds
 	// beyond the slice run cold.
 	OnDemand []*topo.ActiveSet
-	// Tolerance is forwarded to every stage (see mcf.WarmStart).
-	Tolerance float64
 }
 
 // stage converts one stage's seed into the mcf option: round -1 is the
@@ -37,7 +35,7 @@ func (w *WarmStart) stage(round int) *mcf.WarmStart {
 	if a == nil {
 		return nil
 	}
-	return &mcf.WarmStart{Active: a, Tolerance: w.Tolerance}
+	return &mcf.WarmStart{Active: a}
 }
 
 // WarmStart derives the per-stage warm seeds from these tables: the

@@ -85,12 +85,6 @@ func (p *Problem) AddConstraint(name string, terms []Term, rel Rel, rhs float64)
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return len(p.vars) }
 
-// NumConstraints returns the number of constraints.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
-// VarName returns a variable's name.
-func (p *Problem) VarName(v VarID) string { return p.vars[v].name }
-
 // Status reports the outcome of a solve.
 type Status int
 

@@ -82,13 +82,10 @@ func GreedyMinSubset(t *topo.Topology, demands []traffic.Demand, m power.Model,
 func greedyMinSubset(ctx context.Context, t *topo.Topology, sorted []traffic.Demand, m power.Model,
 	opts GreedyOpts, ws *spf.Workspace, baseline *Routing) (*topo.ActiveSet, *Routing, error) {
 
-	ro := opts.Route
-	ro.defaults()
-	s := &subsetSearch{
-		t: t, sorted: sorted, m: m, ro: ro,
-		keepOn: opts.KeepOn, check: opts.Check, fullReroute: opts.FullReroute,
-	}
+	s := newSubsetSearch(t, sorted, m, OptimalOpts{
+		KeepOn: opts.KeepOn, Route: opts.Route, Check: opts.Check, FullReroute: opts.FullReroute})
 	active := topo.AllOn(t)
+	ro := s.ro
 	ro.Active = active
 	var routing *Routing
 	if baseline != nil {

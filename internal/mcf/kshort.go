@@ -95,7 +95,7 @@ func KShortestSubset(t *topo.Topology, demands []traffic.Demand, m power.Model,
 			if overflows(t, r.Load, p, d.Rate, opts.MaxUtil) {
 				continue
 			}
-			cost := incrementalWatts(t, m, active, p)
+			cost := IncrementalWatts(t, m, active, p)
 			util := worstUtilAfter(t, r.Load, p, d.Rate)
 			if bestIdx < 0 || cost < bestCost-1e-9 ||
 				(cost < bestCost+1e-9 && util < bestUtil) {
@@ -133,8 +133,9 @@ func worstUtilAfter(t *topo.Topology, load []float64, p topo.Path, rate float64)
 	return mx
 }
 
-// incrementalWatts prices the elements p would newly activate.
-func incrementalWatts(t *topo.Topology, m power.Model, active *topo.ActiveSet, p topo.Path) float64 {
+// IncrementalWatts prices the elements p would newly activate beyond
+// active.
+func IncrementalWatts(t *topo.Topology, m power.Model, active *topo.ActiveSet, p topo.Path) float64 {
 	var w float64
 	seenLink := make(map[topo.LinkID]bool, len(p.Arcs))
 	touch := func(n topo.NodeID) {
@@ -151,9 +152,7 @@ func incrementalWatts(t *topo.Topology, m power.Model, active *topo.ActiveSet, p
 		touch(a.To)
 		if !active.Link[a.Link] && !seenLink[a.Link] {
 			seenLink[a.Link] = true
-			l := t.Link(a.Link)
-			w += m.PortWatts(t.Node(l.A), t.Arc(l.AB)) +
-				m.PortWatts(t.Node(l.B), t.Arc(l.BA)) + 2*m.AmpWatts(l)
+			w += power.LinkWatts(t, m, t.Link(a.Link))
 		}
 	}
 	return w

@@ -95,31 +95,6 @@ func TestRouteDemandsActiveRestriction(t *testing.T) {
 	}
 }
 
-func TestRouteOnPaths(t *testing.T) {
-	tp, n := diamond(t)
-	ab, _ := tp.ArcBetween(n[0], n[1])
-	bd, _ := tp.ArcBetween(n[1], n[3])
-	up := topo.Path{Arcs: []topo.ArcID{ab, bd}}
-	choose := func(o, d topo.NodeID) topo.Path { return up }
-	demands := []traffic.Demand{{O: n[0], D: n[3], Rate: 4 * topo.Mbps}}
-	if _, err := RouteOnPaths(tp, demands, choose, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	over := []traffic.Demand{
-		{O: n[0], D: n[3], Rate: 6 * topo.Mbps},
-		{O: n[1], D: n[3], Rate: 6 * topo.Mbps},
-	}
-	chooseAny := func(o, d topo.NodeID) topo.Path {
-		if o == n[0] {
-			return up
-		}
-		return topo.Path{Arcs: []topo.ArcID{bd}}
-	}
-	if _, err := RouteOnPaths(tp, over, chooseAny, 1.0); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("overload not detected: %v", err)
-	}
-}
-
 // Property: any successful routing respects capacity on every arc and
 // conserves path endpoints.
 func TestRouteDemandsCapacityProperty(t *testing.T) {

@@ -78,10 +78,8 @@ func BuildMILP(t *topo.Topology, demands []traffic.Demand, m power.Model, opts M
 		mi.X[n.ID] = mkBin(fmt.Sprintf("X_%s", n.Name), m.ChassisWatts(n), force)
 	}
 	for _, l := range t.Links() {
-		w := m.PortWatts(t.Node(l.A), t.Arc(l.AB)) +
-			m.PortWatts(t.Node(l.B), t.Arc(l.BA)) + 2*m.AmpWatts(l)
 		force := opts.KeepOn != nil && opts.KeepOn.Link[l.ID]
-		mi.Y[l.ID] = mkBin(fmt.Sprintf("Y_%d", l.ID), w, force)
+		mi.Y[l.ID] = mkBin(fmt.Sprintf("Y_%d", l.ID), power.LinkWatts(t, m, l), force)
 	}
 	// Flow variables (binary single-path routing).
 	for _, d := range demands {

@@ -253,31 +253,3 @@ func Feasible(t *topo.Topology, demands []traffic.Demand, opts RouteOpts) bool {
 	_, err := RouteDemands(t, demands, opts)
 	return err == nil
 }
-
-// RouteOnPaths routes each demand on a fixed per-OD path choice
-// (installed tables), checking capacity. Used to evaluate precomputed
-// REsPoNse tables against a matrix without re-optimizing.
-func RouteOnPaths(t *topo.Topology, demands []traffic.Demand,
-	choose func(o, d topo.NodeID) topo.Path, maxUtil float64) (*Routing, error) {
-	if maxUtil == 0 {
-		maxUtil = 1.0
-	}
-	r := NewRouting(t)
-	for _, d := range demands {
-		if d.O == d.D || d.Rate == 0 {
-			continue
-		}
-		p := choose(d.O, d.D)
-		if p.Empty() {
-			return nil, fmt.Errorf("%w: no installed path %d->%d", ErrInfeasible, d.O, d.D)
-		}
-		r.Assign(d.O, d.D, p, d.Rate)
-	}
-	for _, a := range t.Arcs() {
-		if r.Load[a.ID] > a.Capacity*maxUtil+1e-6 {
-			return r, fmt.Errorf("%w: arc %d overloaded (%.3g > %.3g)",
-				ErrInfeasible, a.ID, r.Load[a.ID], a.Capacity*maxUtil)
-		}
-	}
-	return r, nil
-}

@@ -107,9 +107,7 @@ func (s *subsetSearch) candidates() []cand {
 		if s.keepOn != nil && s.keepOn.Link[l.ID] {
 			continue
 		}
-		w := s.m.PortWatts(s.t.Node(l.A), s.t.Arc(l.AB)) +
-			s.m.PortWatts(s.t.Node(l.B), s.t.Arc(l.BA)) + 2*s.m.AmpWatts(l)
-		cands = append(cands, cand{isRouter: false, link: l.ID, watts: w})
+		cands = append(cands, cand{isRouter: false, link: l.ID, watts: power.LinkWatts(s.t, s.m, l)})
 	}
 	return cands
 }

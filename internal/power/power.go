@@ -160,6 +160,13 @@ func (m Commodity) fixed() float64 {
 	return m.FixedFraction
 }
 
+// LinkWatts is the price of keeping link l on: a port at each endpoint
+// plus the amplifier cost once per direction.
+func LinkWatts(t *topo.Topology, m Model, l topo.Link) float64 {
+	return m.PortWatts(t.Node(l.A), t.Arc(l.AB)) +
+		m.PortWatts(t.Node(l.B), t.Arc(l.BA)) + 2*m.AmpWatts(l)
+}
+
 // NetworkWatts evaluates the paper's objective for a given power state:
 // every active non-host router contributes its chassis, and every
 // active link contributes a port at each endpoint plus the
@@ -177,6 +184,10 @@ func NetworkWatts(t *topo.Topology, m Model, active *topo.ActiveSet) float64 {
 		if !active.Link[l.ID] {
 			continue
 		}
+		// LinkWatts(t, m, l), added in two steps: every pinned plan
+		// wattage was summed in this order, and folding the amplifier
+		// term into the port sum first moves the last bits (GÉANT,
+		// Cisco12000: 16727.200000000004 vs …08).
 		ab, ba := t.Arc(l.AB), t.Arc(l.BA)
 		w += m.PortWatts(t.Node(l.A), ab) + m.PortWatts(t.Node(l.B), ba)
 		w += 2 * m.AmpWatts(l)
@@ -256,9 +267,6 @@ func (mt *Meter) Finish(now float64) float64 {
 	}
 	return mt.joules
 }
-
-// Joules returns the energy accumulated so far.
-func (mt *Meter) Joules() float64 { return mt.joules }
 
 // FullWatts returns the all-on baseline power.
 func (mt *Meter) FullWatts() float64 { return mt.full }

@@ -209,3 +209,18 @@ func TestMeterIntegration(t *testing.T) {
 		t.Error("meter mishandled out-of-order observation")
 	}
 }
+
+// TestLinkWattsIsTheInlinedPrice: LinkWatts is bit-equal to the
+// expression the planner's five call sites used to spell out.
+func TestLinkWattsIsTheInlinedPrice(t *testing.T) {
+	g := topo.NewGeant()
+	for _, m := range []Model{Cisco12000{}, Alternative{Base: Cisco12000{}}, NewCommodity(4)} {
+		for _, l := range g.Links() {
+			want := m.PortWatts(g.Node(l.A), g.Arc(l.AB)) +
+				m.PortWatts(g.Node(l.B), g.Arc(l.BA)) + 2*m.AmpWatts(l)
+			if got := LinkWatts(g, m, l); got != want {
+				t.Errorf("%s link %d: LinkWatts = %v, inlined = %v", m.Name(), l.ID, got, want)
+			}
+		}
+	}
+}

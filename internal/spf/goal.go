@@ -8,7 +8,10 @@
 // ShortestPath re-runs the query through the reference Dijkstra.
 // A certified result is therefore provably the byte-identical answer
 // the reference engine would have produced; an uncertified attempt
-// costs time but can never change an output.
+// costs time but can never change an output. The proof takes for
+// granted that both solvers see the reference's graph — the same arcs
+// admitted at the same weights — which holds because every loop here
+// and Workspace.run relax through Options.admit.
 //
 // The certification rules:
 //
@@ -25,7 +28,8 @@
 //     keeping h admissible under the host-termination path semantics.
 //
 //   - Bidirectional Dijkstra: forward search from the origin, backward
-//     search over t.In from the destination, stop when
+//     search over t.In from the destination — one expansion body
+//     serving whichever side has the smaller top key — stop when
 //     topF+topB > μ+slack. Certification additionally requires that
 //     no heap emptied before the stop rule fired and that every meeting
 //     node whose two-sided distance sum is within slack of μ
@@ -208,12 +212,9 @@ func (ws *Workspace) altPath(t *topo.Topology, o, d topo.NodeID, opts Options) (
 	ws.begin(n)
 	ws.src = o
 	ws.hBegin(lm, d, n)
-	w := opts.weight()
 	nodes := t.Nodes()
 	arcs := t.Arcs()
-	active := opts.Active
-	avoid := opts.Avoid
-	if active != nil && nodes[o].Kind != topo.KindHost && !active.Router[o] {
+	if opts.routerOff(nodes, o) {
 		return topo.Path{}, false, true // source powered off: certified no-path
 	}
 	ws.touch(o, 0, -1)
@@ -240,22 +241,11 @@ func (ws *Workspace) altPath(t *topo.Topology, o, d topo.NodeID, opts Options) (
 		du := ws.dist[u]
 		for _, aid := range t.Out(u) {
 			a := &arcs[aid]
-			if active != nil {
-				if !active.Link[a.Link] {
-					continue
-				}
-				if nodes[a.To].Kind != topo.KindHost && !active.Router[a.To] {
-					continue
-				}
-			}
-			if avoid != nil && avoid(*a) {
-				continue
-			}
-			wt := w(*a)
-			if math.IsInf(wt, 1) || wt < 0 {
-				continue
-			}
 			to := a.To
+			wt, ok := opts.admit(nodes, a, to)
+			if !ok {
+				continue
+			}
 			nd := du + wt
 			dt := ws.distAt(to)
 			if nd == dt {
@@ -281,215 +271,94 @@ func (ws *Workspace) altPath(t *topo.Topology, o, d topo.NodeID, opts Options) (
 	return p, ok, true
 }
 
-// bdistAt mirrors distAt for the backward label arrays.
-func (ws *Workspace) bdistAt(u topo.NodeID) float64 {
-	if ws.bstamp[u] == ws.epoch {
-		return ws.bdist[u]
-	}
-	return math.Inf(1)
-}
-
-// btouch mirrors touch for the backward label arrays and records the
-// node on the touched list (scanned for meeting nodes afterwards).
-func (ws *Workspace) btouch(u topo.NodeID, dd float64, via topo.ArcID) {
-	if ws.bstamp[u] != ws.epoch {
-		ws.btouched = append(ws.btouched, u)
-	}
-	ws.bstamp[u] = ws.epoch
-	ws.bdist[u] = dd
-	ws.bprev[u] = via
-	ws.bdone[u] = false
-}
-
-func (ws *Workspace) bpush(n topo.NodeID, d float64) {
-	ws.bheap = append(ws.bheap, heapEntry{node: n, dist: d})
-	h := ws.bheap
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (ws *Workspace) bpop() heapEntry {
-	h := ws.bheap
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			break
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
-			j = j2
-		}
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	e := h[n]
-	ws.bheap = h[:n]
-	return e
-}
-
 // bidiPath is the certified bidirectional Dijkstra solver. See the
 // package comment at the top of this file for the certification rules.
 func (ws *Workspace) bidiPath(t *topo.Topology, o, d topo.NodeID, opts Options) (topo.Path, bool, bool) {
 	n := t.NumNodes()
-	ws.begin(n)
+	fwd, bwd := &ws.labels, &ws.bwd
+	fwd.begin(n)
+	bwd.begin(n)
 	ws.src = o
-	if len(ws.bstamp) < n {
-		ws.bstamp = make([]uint64, n)
-		ws.bdist = make([]float64, n)
-		ws.bprev = make([]topo.ArcID, n)
-		ws.bdone = make([]bool, n)
-	}
-	ws.bheap = ws.bheap[:0]
-	ws.btouched = ws.btouched[:0]
-	w := opts.weight()
+	ws.meet = ws.meet[:0]
 	nodes := t.Nodes()
 	arcs := t.Arcs()
-	active := opts.Active
-	avoid := opts.Avoid
-	if active != nil {
-		// The reference checks the origin's power state up front and
-		// the destination's when relaxing its final arc; both sides of
-		// a bidirectional search need them as start conditions.
-		if nodes[o].Kind != topo.KindHost && !active.Router[o] {
-			return topo.Path{}, false, true
-		}
-		if nodes[d].Kind != topo.KindHost && !active.Router[d] {
-			return topo.Path{}, false, true
-		}
+	// The reference checks the origin's power state up front and the
+	// destination's when relaxing its final arc; both sides of a
+	// bidirectional search need them as start conditions.
+	if opts.routerOff(nodes, o) || opts.routerOff(nodes, d) {
+		return topo.Path{}, false, true
 	}
-	ws.touch(o, 0, -1)
-	ws.push(o, 0)
-	ws.btouch(d, 0, -1)
-	ws.bpush(d, 0)
+	fwd.touch(o, 0, -1)
+	fwd.push(o, 0)
+	bwd.touch(d, 0, -1)
+	bwd.push(d, 0)
 	mu := math.Inf(1)
 	slack := 0.0
 	certified := true
 	stopped := false
 	for certified {
 		// Drop finalized (stale) heads so the tops are live keys.
-		for len(ws.heap) > 0 && ws.done[ws.heap[0].node] {
-			ws.pop()
+		for len(fwd.heap) > 0 && fwd.done[fwd.heap[0].node] {
+			fwd.pop()
 		}
-		for len(ws.bheap) > 0 && ws.bdone[ws.bheap[0].node] {
-			ws.bpop()
+		for len(bwd.heap) > 0 && bwd.done[bwd.heap[0].node] {
+			bwd.pop()
 		}
-		if len(ws.heap) == 0 || len(ws.bheap) == 0 {
+		if len(fwd.heap) == 0 || len(bwd.heap) == 0 {
 			break
 		}
-		if ws.heap[0].dist+ws.bheap[0].dist > mu+slack {
+		if fwd.heap[0].dist+bwd.heap[0].dist > mu+slack {
 			stopped = true
 			break
 		}
-		if ws.heap[0].dist <= ws.bheap[0].dist {
-			// Expand the forward side.
-			u := ws.pop().node
-			if ws.done[u] {
+		// Expand the side with the smaller top key (forward on a draw):
+		// the forward search relaxes out-arcs from o toward d, the
+		// backward one in-arcs from d toward o, through one body.
+		side, other, from, goal, reverse := fwd, bwd, o, d, false
+		if bwd.heap[0].dist < fwd.heap[0].dist {
+			side, other, from, goal, reverse = bwd, fwd, d, o, true
+		}
+		u := side.pop().node
+		side.done[u] = true
+		if nodes[u].Kind == topo.KindHost && u != from {
+			continue // hosts terminate paths
+		}
+		du := side.dist[u]
+		adj := t.Out(u)
+		if reverse {
+			adj = t.In(u)
+		}
+		for _, aid := range adj {
+			a := &arcs[aid]
+			v := a.To
+			if reverse {
+				v = a.From
+			}
+			wt, ok := opts.admit(nodes, a, v)
+			if !ok {
 				continue
 			}
-			ws.done[u] = true
-			if nodes[u].Kind == topo.KindHost && u != o {
+			nd := du + wt
+			dt := side.distAt(v)
+			if nd == dt {
+				if v == goal || nodes[v].Kind != topo.KindHost {
+					certified = false
+					break
+				}
 				continue
 			}
-			du := ws.dist[u]
-			for _, aid := range t.Out(u) {
-				a := &arcs[aid]
-				if active != nil {
-					if !active.Link[a.Link] {
-						continue
+			if nd < dt {
+				if other.labeled(v) {
+					if !side.labeled(v) {
+						ws.meet = append(ws.meet, v)
 					}
-					if nodes[a.To].Kind != topo.KindHost && !active.Router[a.To] {
-						continue
-					}
-				}
-				if avoid != nil && avoid(*a) {
-					continue
-				}
-				wt := w(*a)
-				if math.IsInf(wt, 1) || wt < 0 {
-					continue
-				}
-				to := a.To
-				nd := du + wt
-				dt := ws.distAt(to)
-				if nd == dt {
-					if to == d || nodes[to].Kind != topo.KindHost {
-						certified = false
-						break
-					}
-					continue
-				}
-				if nd < dt {
-					ws.touch(to, nd, aid)
-					ws.push(to, nd)
-					if ws.bstamp[to] == ws.epoch {
-						if s := nd + ws.bdist[to]; s < mu {
-							mu = s
-							slack = goalSlack(mu)
-						}
+					if s := nd + other.dist[v]; s < mu {
+						mu = s
+						slack = goalSlack(mu)
 					}
 				}
-			}
-		} else {
-			// Expand the backward side over incoming arcs.
-			u := ws.bpop().node
-			if ws.bdone[u] {
-				continue
-			}
-			ws.bdone[u] = true
-			if nodes[u].Kind == topo.KindHost && u != d {
-				continue
-			}
-			du := ws.bdist[u]
-			for _, aid := range t.In(u) {
-				a := &arcs[aid]
-				v := a.From
-				if active != nil {
-					if !active.Link[a.Link] {
-						continue
-					}
-					if nodes[v].Kind != topo.KindHost && !active.Router[v] {
-						continue
-					}
-				}
-				if avoid != nil && avoid(*a) {
-					continue
-				}
-				wt := w(*a)
-				if math.IsInf(wt, 1) || wt < 0 {
-					continue
-				}
-				nd := du + wt
-				dt := ws.bdistAt(v)
-				if nd == dt {
-					if v == o || nodes[v].Kind != topo.KindHost {
-						certified = false
-						break
-					}
-					continue
-				}
-				if nd < dt {
-					ws.btouch(v, nd, aid)
-					ws.bpush(v, nd)
-					if ws.stamp[v] == ws.epoch {
-						if s := nd + ws.dist[v]; s < mu {
-							mu = s
-							slack = goalSlack(mu)
-						}
-					}
-				}
+				side.touch(v, nd, aid)
+				side.push(v, nd)
 			}
 		}
 	}
@@ -512,20 +381,17 @@ func (ws *Workspace) bidiPath(t *topo.Topology, o, d topo.NodeID, opts Options) 
 	// the same arc sequence.
 	var best []topo.ArcID
 	have := false
-	for _, x := range ws.btouched {
-		if ws.stamp[x] != ws.epoch {
+	for _, x := range ws.meet {
+		if fwd.dist[x]+bwd.dist[x] > mu+slack {
 			continue
 		}
-		if ws.dist[x]+ws.bdist[x] > mu+slack {
-			continue
-		}
-		fwd, ok := ws.pathTo(t, x)
+		head, ok := ws.pathTo(t, x)
 		if !ok {
 			return topo.Path{}, false, false
 		}
-		full := fwd.Arcs
+		full := head.Arcs
 		for v := x; v != d; {
-			aid := ws.bprev[v]
+			aid := bwd.prev[v]
 			if aid < 0 {
 				return topo.Path{}, false, false
 			}

@@ -94,7 +94,7 @@ func buildLandmarks(t *topo.Topology, n int) *Landmarks {
 	next := root
 	for len(lm.nodes) < n {
 		l := next
-		ws.run(t, l, Options{}, -1)
+		ws.run(t, l, Options{}, -1, false)
 		row := make([]float64, t.NumNodes())
 		for v := 0; v < t.NumNodes(); v++ {
 			row[v] = ws.distAt(topo.NodeID(v))
@@ -122,9 +122,9 @@ func buildLandmarks(t *topo.Topology, n int) *Landmarks {
 			break // every candidate is a landmark (or unreachable)
 		}
 	}
-	// Backward tables: reverse Dijkstra from each landmark over In().
+	// Backward tables: reverse Dijkstra from each landmark.
 	for _, l := range lm.nodes {
-		ws.runReverse(t, l, Options{})
+		ws.run(t, l, Options{}, -1, true)
 		row := make([]float64, t.NumNodes())
 		for v := 0; v < t.NumNodes(); v++ {
 			row[v] = ws.distAt(topo.NodeID(v))

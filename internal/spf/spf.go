@@ -5,10 +5,14 @@
 //
 // All searches refuse to transit through hosts (hosts may only be path
 // endpoints) and can be restricted to the powered subgraph via an
-// ActiveSet.
+// ActiveSet. Which arcs a search may relax, and at what weight, is one
+// rule — Options.admit — called by every relaxation loop in the
+// package, forward or backward, reference or goal-directed.
 //
-// Searches run over a reusable Workspace (epoch-stamped label arrays
-// plus an inline binary heap) so the hot planning loops in mcf and core
+// Searches run over a reusable Workspace, whose label set (the labels
+// type: epoch-stamped arrays plus an inline binary heap) exists once
+// for the forward search and once for the backward half of
+// bidirectional queries, so the hot planning loops in mcf and core
 // perform no per-search allocations; the package-level functions below
 // draw workspaces from a pool for callers that don't manage their own.
 //
@@ -17,7 +21,8 @@
 // generic loop (LoadGraph, Workspace.ShortestPathLoad in loadgraph.go):
 // same heap, same relaxation order, same float operations, so ties
 // break identically; only the per-arc predicate and weight dispatch is
-// hoisted out.
+// hoisted out — LoadGraph.Compile applies the admission rule ahead of
+// time, the one place that restates it.
 //
 // Point-to-point queries can additionally run through a goal-directed
 // engine (Options.Engine: EngineALT over cached landmark lower bounds,
@@ -89,20 +94,42 @@ func (o Options) weight() WeightFunc {
 	return o.Weight
 }
 
-// usable reports whether an arc may be traversed under the options.
-func (o Options) usable(t *topo.Topology, a topo.Arc) bool {
-	if o.Active != nil {
-		if !o.Active.Link[a.Link] {
-			return false
-		}
-		if t.Node(a.To).Kind != topo.KindHost && !o.Active.Router[a.To] {
-			return false
-		}
+// admit is the arc-admission rule, stated once for every search loop
+// of the package: arc a, about to be relaxed toward its far end (a.To
+// in a forward search, a.From in a backward one), may be used iff its
+// link is powered, far is a host or a powered router, Avoid does not
+// name it, and its weight (Weight, default latency) is a finite
+// non-negative number. Avoid is consulted before Weight, so a weight
+// function never sees an avoided arc. The certified engines'
+// "byte-identical to the reference" claim rests on every loop
+// admitting exactly the same arcs at the same weights.
+//
+// LoadGraph.Compile is the same rule evaluated ahead of time for a
+// whole pass; it is deliberately not routed through here (the compiled
+// kernel is the planner's hot path) and TestLoadKernelMatchesReference
+// holds it to this form.
+func (o *Options) admit(nodes []topo.Node, a *topo.Arc, far topo.NodeID) (float64, bool) {
+	if o.Active != nil && !o.Active.Link[a.Link] {
+		return 0, false
 	}
-	if o.Avoid != nil && o.Avoid(a) {
-		return false
+	if o.routerOff(nodes, far) {
+		return 0, false
 	}
-	return true
+	if o.Avoid != nil && o.Avoid(*a) {
+		return 0, false
+	}
+	wt := a.Latency
+	if o.Weight != nil {
+		wt = o.Weight(*a)
+	}
+	return wt, wt >= 0 && !math.IsInf(wt, 1)
+}
+
+// routerOff reports whether v is a router the active set has powered
+// off: such a node can neither start a search nor be entered by one.
+// Hosts carry no power state.
+func (o *Options) routerOff(nodes []topo.Node, v topo.NodeID) bool {
+	return o.Active != nil && nodes[v].Kind != topo.KindHost && !o.Active.Router[v]
 }
 
 // Tree is a single-source shortest-path tree.
@@ -116,7 +143,7 @@ type Tree struct {
 // expanded unless they are the source, so paths cannot transit hosts.
 func ShortestTree(t *topo.Topology, src topo.NodeID, opts Options) Tree {
 	ws := wsPool.Get().(*Workspace)
-	ws.run(t, src, opts, -1)
+	ws.run(t, src, opts, -1, false)
 	tr := ws.tree(t)
 	wsPool.Put(ws)
 	return tr
@@ -367,11 +394,12 @@ func (ws *Workspace) ECMPPaths(t *topo.Topology, o, d topo.NodeID, maxPaths int,
 	if o == d {
 		return nil
 	}
-	ws.run(t, o, opts, -1)
+	ws.run(t, o, opts, -1, false)
 	if math.IsInf(ws.distAt(d), 1) {
 		return nil
 	}
-	w := opts.weight()
+	nodes := t.Nodes()
+	arcs := t.Arcs()
 	const eps = 1e-12
 	// DFS backwards from d along arcs on some shortest path.
 	var out []topo.Path
@@ -391,15 +419,12 @@ func (ws *Workspace) ECMPPaths(t *topo.Topology, o, d topo.NodeID, maxPaths int,
 		}
 		dn := ws.distAt(n)
 		for _, aid := range t.In(n) {
-			a := t.Arc(aid)
-			if !opts.usable(t, a) {
+			a := &arcs[aid]
+			if nodes[a.From].Kind == topo.KindHost && a.From != o {
 				continue
 			}
-			if t.Node(a.From).Kind == topo.KindHost && a.From != o {
-				continue
-			}
-			wt := w(a)
-			if math.IsInf(wt, 1) {
+			wt, ok := opts.admit(nodes, a, a.To)
+			if !ok {
 				continue
 			}
 			if math.Abs(ws.distAt(a.From)+wt-dn) <= eps*(1+dn) {

@@ -7,23 +7,33 @@ import (
 	"response/internal/topo"
 )
 
-// Workspace holds the scratch state of a Dijkstra run — distance,
-// predecessor, finalized flags, and an index-based binary min-heap of
-// (node, dist) entries — so repeated searches allocate nothing. Arrays
-// are epoch-stamped: a slot is valid only when its stamp matches the
-// current epoch, so no O(n) clearing happens between runs.
+// labels is the label set of one Dijkstra search: tentative distance,
+// predecessor arc and finalized flag per node, plus an index-based
+// binary min-heap of (node, key) entries. Arrays are epoch-stamped: a
+// slot is valid only when its stamp matches the current epoch, so no
+// O(n) clearing happens between runs and repeated searches allocate
+// nothing.
+type labels struct {
+	epoch uint64
+	stamp []uint64
+	dist  []float64
+	prev  []topo.ArcID // arc the label came over: into the node forward, out of it backward
+	done  []bool
+	heap  []heapEntry
+}
+
+// Workspace holds the scratch state of the package's searches: the
+// forward label set (embedded, so ws.dist, ws.push, … are the forward
+// search's), a second one for the backward half of bidirectional
+// queries, and the buffers of the load-aware kernel and the
+// goal-directed engines.
 //
 // A Workspace is not safe for concurrent use; create one per goroutine
 // (the planner's parallel restarts each own one). The package-level
 // search functions draw from an internal pool, so casual callers keep
 // the old allocation-free-enough API without managing workspaces.
 type Workspace struct {
-	epoch   uint64
-	stamp   []uint64
-	dist    []float64
-	prev    []topo.ArcID
-	done    []bool
-	heap    []heapEntry
+	labels
 	scratch []topo.ArcID // path reversal buffer
 	src     topo.NodeID
 
@@ -34,9 +44,9 @@ type Workspace struct {
 
 	// Goal-directed state (see goal.go). The landmark table is cached
 	// per topology pointer; the h-cache memoizes HBound per node per
-	// query epoch; the b* arrays are the backward half of bidirectional
-	// searches. All lazily allocated: a workspace used only through the
-	// reference engine never touches them.
+	// query epoch; bwd and meet serve bidirectional searches. All
+	// lazily allocated: a workspace used only through the reference
+	// engine never touches them.
 	lmTopo *topo.Topology
 	lm     *Landmarks
 	hval   []float64
@@ -45,12 +55,8 @@ type Workspace struct {
 	hlm    *Landmarks
 	hepoch uint64
 
-	bstamp   []uint64
-	bdist    []float64
-	bprev    []topo.ArcID // arc leaving the node toward the target
-	bdone    []bool
-	bheap    []heapEntry
-	btouched []topo.NodeID // nodes labeled by the backward search
+	bwd  labels        // backward search from the target
+	meet []topo.NodeID // nodes labeled by both searches, each once
 
 	// Adaptive bailout counters: when the certified goal-directed
 	// solver keeps falling back (tie-heavy topology), stop paying for
@@ -78,40 +84,43 @@ var wsPool = sync.Pool{New: func() interface{} { return NewWorkspace() }}
 
 // begin starts a new run over n nodes: bump the epoch, size the arrays,
 // clear the heap. No per-node clearing is done.
-func (ws *Workspace) begin(n int) {
-	if len(ws.stamp) < n {
-		ws.stamp = make([]uint64, n)
-		ws.dist = make([]float64, n)
-		ws.prev = make([]topo.ArcID, n)
-		ws.done = make([]bool, n)
+func (l *labels) begin(n int) {
+	if len(l.stamp) < n {
+		l.stamp = make([]uint64, n)
+		l.dist = make([]float64, n)
+		l.prev = make([]topo.ArcID, n)
+		l.done = make([]bool, n)
 	}
-	ws.epoch++
-	ws.heap = ws.heap[:0]
+	l.epoch++
+	l.heap = l.heap[:0]
 }
 
+// labeled reports whether u carries a label from the current run.
+func (l *labels) labeled(u topo.NodeID) bool { return l.stamp[u] == l.epoch }
+
 // distAt returns the tentative distance of u, +Inf when untouched.
-func (ws *Workspace) distAt(u topo.NodeID) float64 {
-	if ws.stamp[u] == ws.epoch {
-		return ws.dist[u]
+func (l *labels) distAt(u topo.NodeID) float64 {
+	if l.labeled(u) {
+		return l.dist[u]
 	}
 	return math.Inf(1)
 }
 
 // touch records a tentative (dist, prev) label for u in this epoch.
-func (ws *Workspace) touch(u topo.NodeID, d float64, via topo.ArcID) {
-	ws.stamp[u] = ws.epoch
-	ws.dist[u] = d
-	ws.prev[u] = via
-	ws.done[u] = false
+func (l *labels) touch(u topo.NodeID, d float64, via topo.ArcID) {
+	l.stamp[u] = l.epoch
+	l.dist[u] = d
+	l.prev[u] = via
+	l.done[u] = false
 }
 
-// push/pop/up/down implement the container/heap binary-heap protocol
+// push/pop implement the container/heap binary-heap protocol
 // (identical sift rules, Less = strict dist comparison) over inline
 // entries, so equal-distance ties resolve exactly as before.
-func (ws *Workspace) push(n topo.NodeID, d float64) {
-	ws.heap = append(ws.heap, heapEntry{node: n, dist: d})
+func (l *labels) push(n topo.NodeID, d float64) {
+	l.heap = append(l.heap, heapEntry{node: n, dist: d})
 	// Sift up.
-	h := ws.heap
+	h := l.heap
 	j := len(h) - 1
 	for j > 0 {
 		i := (j - 1) / 2
@@ -123,8 +132,8 @@ func (ws *Workspace) push(n topo.NodeID, d float64) {
 	}
 }
 
-func (ws *Workspace) pop() heapEntry {
-	h := ws.heap
+func (l *labels) pop() heapEntry {
+	h := l.heap
 	n := len(h) - 1
 	h[0], h[n] = h[n], h[0]
 	// Sift down within h[:n].
@@ -145,7 +154,7 @@ func (ws *Workspace) pop() heapEntry {
 		i = j
 	}
 	e := h[n]
-	ws.heap = h[:n]
+	l.heap = h[:n]
 	return e
 }
 
@@ -153,19 +162,17 @@ func (ws *Workspace) pop() heapEntry {
 // node ID, the search stops as soon as target is finalized (its label
 // is exact at that point); pass -1 to label the whole graph.
 //
-// The relaxation loop indexes the arc and node tables directly and
-// inlines Options.usable (same checks, same order) — this is the
-// innermost loop of the whole planner, where per-arc struct copies and
-// method dispatch are measurable.
-func (ws *Workspace) run(t *topo.Topology, src topo.NodeID, opts Options, target topo.NodeID) {
+// With reverse set the search runs over the reversed graph (t.In
+// instead of t.Out), leaving dist[v] = shortest distance from v to src
+// under forward path semantics: host tails are labeled but never
+// expanded, mirroring the forward rule that hosts terminate paths. The
+// backward landmark tables are built this way.
+func (ws *Workspace) run(t *topo.Topology, src topo.NodeID, opts Options, target topo.NodeID, reverse bool) {
 	ws.begin(t.NumNodes())
 	ws.src = src
-	w := opts.weight()
 	nodes := t.Nodes()
 	arcs := t.Arcs()
-	active := opts.Active
-	avoid := opts.Avoid
-	if active != nil && nodes[src].Kind != topo.KindHost && !active.Router[src] {
+	if opts.routerOff(nodes, src) {
 		return
 	}
 	ws.touch(src, 0, -1)
@@ -184,76 +191,18 @@ func (ws *Workspace) run(t *topo.Topology, src topo.NodeID, opts Options, target
 			continue // hosts terminate paths
 		}
 		du := ws.dist[u]
-		for _, aid := range t.Out(u) {
+		adj := t.Out(u)
+		if reverse {
+			adj = t.In(u)
+		}
+		for _, aid := range adj {
 			a := &arcs[aid]
-			if active != nil {
-				if !active.Link[a.Link] {
-					continue
-				}
-				if nodes[a.To].Kind != topo.KindHost && !active.Router[a.To] {
-					continue
-				}
+			v := a.To
+			if reverse {
+				v = a.From
 			}
-			if avoid != nil && avoid(*a) {
-				continue
-			}
-			wt := w(*a)
-			if math.IsInf(wt, 1) || wt < 0 {
-				continue
-			}
-			if nd := du + wt; nd < ws.distAt(a.To) {
-				ws.touch(a.To, nd, aid)
-				ws.push(a.To, nd)
-			}
-		}
-	}
-}
-
-// runReverse executes Dijkstra from src over the *reversed* graph
-// (t.In instead of t.Out), leaving dist[v] = shortest distance from v
-// to src under forward path semantics. Host tails are labeled but never
-// expanded, mirroring the forward rule that hosts terminate paths; used
-// to build the backward landmark tables.
-func (ws *Workspace) runReverse(t *topo.Topology, src topo.NodeID, opts Options) {
-	ws.begin(t.NumNodes())
-	ws.src = src
-	w := opts.weight()
-	nodes := t.Nodes()
-	arcs := t.Arcs()
-	active := opts.Active
-	avoid := opts.Avoid
-	if active != nil && nodes[src].Kind != topo.KindHost && !active.Router[src] {
-		return
-	}
-	ws.touch(src, 0, -1)
-	ws.push(src, 0)
-	for len(ws.heap) > 0 {
-		it := ws.pop()
-		u := it.node
-		if ws.done[u] {
-			continue
-		}
-		ws.done[u] = true
-		if nodes[u].Kind == topo.KindHost && u != src {
-			continue // hosts terminate paths
-		}
-		du := ws.dist[u]
-		for _, aid := range t.In(u) {
-			a := &arcs[aid]
-			v := a.From
-			if active != nil {
-				if !active.Link[a.Link] {
-					continue
-				}
-				if nodes[v].Kind != topo.KindHost && !active.Router[v] {
-					continue
-				}
-			}
-			if avoid != nil && avoid(*a) {
-				continue
-			}
-			wt := w(*a)
-			if math.IsInf(wt, 1) || wt < 0 {
+			wt, ok := opts.admit(nodes, a, v)
+			if !ok {
 				continue
 			}
 			if nd := du + wt; nd < ws.distAt(v) {
@@ -267,7 +216,7 @@ func (ws *Workspace) runReverse(t *topo.Topology, src topo.NodeID, opts Options)
 // pathTo materializes the path from the last run's source to dst. The
 // single allocation is the returned arc slice, sized exactly.
 func (ws *Workspace) pathTo(t *topo.Topology, dst topo.NodeID) (topo.Path, bool) {
-	if ws.stamp[dst] != ws.epoch || math.IsInf(ws.dist[dst], 1) {
+	if !ws.labeled(dst) || math.IsInf(ws.dist[dst], 1) {
 		return topo.Path{}, false
 	}
 	rev := ws.scratch[:0]
@@ -309,14 +258,14 @@ func (ws *Workspace) ShortestPath(t *topo.Topology, o, d topo.NodeID, opts Optio
 		ws.goalTries++
 		ws.goalFails++
 	}
-	ws.run(t, o, opts, d)
+	ws.run(t, o, opts, d, false)
 	return ws.pathTo(t, d)
 }
 
 // ShortestTree runs a full Dijkstra from src and leaves the labels in
 // the workspace; read them through Dist and PathTo until the next run.
 func (ws *Workspace) ShortestTree(t *topo.Topology, src topo.NodeID, opts Options) {
-	ws.run(t, src, opts, -1)
+	ws.run(t, src, opts, -1, false)
 }
 
 // Dist returns the distance label of n from the last run (+Inf when
@@ -337,7 +286,7 @@ func (ws *Workspace) tree(t *topo.Topology) Tree {
 		PrevArc: make([]topo.ArcID, n),
 	}
 	for i := 0; i < n; i++ {
-		if ws.stamp[i] == ws.epoch {
+		if ws.labeled(topo.NodeID(i)) {
 			tr.Dist[i] = ws.dist[i]
 			tr.PrevArc[i] = ws.prev[i]
 		} else {

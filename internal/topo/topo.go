@@ -371,15 +371,6 @@ func (t *Topology) ConnectedUnder(active *ActiveSet) bool {
 	return got == want
 }
 
-// TotalCapacity returns the sum of all arc capacities (bits/s).
-func (t *Topology) TotalCapacity() float64 {
-	var s float64
-	for _, a := range t.arcs {
-		s += a.Capacity
-	}
-	return s
-}
-
 // MaxRTT returns the largest round-trip propagation delay between any
 // pair of non-host nodes along shortest-latency paths. REsPoNseTE uses
 // it as its probe period T (paper §4.4).

@@ -1,9 +1,8 @@
 // Package trace is the runtime's serialization layer for everything
-// observable: offline datasets and the online flight recorder.
+// observable: figure data and the online flight recorder.
 //
-// The CSV half (this file) serializes traffic-matrix series and figure
-// data so experiments can be exported, replayed and diffed — the
-// stand-in for the GÉANT TOTEM dataset's interchange role.
+// The CSV half (this file) writes the (X, Y) curves the paper-figure
+// experiments export.
 //
 // The JSONL half (events.go) is the EventWriter flight recorder: an
 // allocation-free, nil-safe structured event stream that the TE
@@ -16,96 +15,11 @@ package trace
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
 	"response/internal/stats"
-	"response/internal/topo"
-	"response/internal/traffic"
 )
-
-// WriteSeries encodes a series as CSV with a preamble row holding the
-// sampling interval, then one row per (interval, origin, destination,
-// rate) tuple.
-func WriteSeries(w io.Writer, s *traffic.Series) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"interval_sec", fmt.Sprintf("%g", s.IntervalSec)}); err != nil {
-		return err
-	}
-	if err := cw.Write([]string{"interval", "origin", "destination", "rate_bps"}); err != nil {
-		return err
-	}
-	for i, m := range s.Matrices {
-		for _, d := range m.Demands() {
-			rec := []string{
-				strconv.Itoa(i),
-				strconv.Itoa(int(d.O)),
-				strconv.Itoa(int(d.D)),
-				strconv.FormatFloat(d.Rate, 'g', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadSeries decodes a series written by WriteSeries.
-func ReadSeries(r io.Reader) (*traffic.Series, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	head, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: missing preamble: %w", err)
-	}
-	if len(head) != 2 || head[0] != "interval_sec" {
-		return nil, fmt.Errorf("trace: bad preamble %v", head)
-	}
-	interval, err := strconv.ParseFloat(head[1], 64)
-	if err != nil {
-		return nil, fmt.Errorf("trace: bad interval: %w", err)
-	}
-	if _, err := cr.Read(); err != nil { // column header
-		return nil, fmt.Errorf("trace: missing header: %w", err)
-	}
-	s := &traffic.Series{IntervalSec: interval}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(rec) != 4 {
-			return nil, fmt.Errorf("trace: bad record %v", rec)
-		}
-		idx, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad interval index: %w", err)
-		}
-		o, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad origin: %w", err)
-		}
-		d, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad destination: %w", err)
-		}
-		rate, err := strconv.ParseFloat(rec[3], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: bad rate: %w", err)
-		}
-		for idx >= len(s.Matrices) {
-			s.Matrices = append(s.Matrices, traffic.NewMatrix())
-		}
-		s.Matrices[idx].Set(topo.NodeID(o), topo.NodeID(d), rate)
-	}
-	return s, nil
-}
 
 // WritePoints encodes an (X, Y) curve (CDF/CCDF/time series) as CSV.
 func WritePoints(w io.Writer, xLabel, yLabel string, pts []stats.Point) error {
@@ -119,21 +33,6 @@ func WritePoints(w io.Writer, xLabel, yLabel string, pts []stats.Point) error {
 			strconv.FormatFloat(p.Y, 'g', -1, 64),
 		}
 		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTable encodes a generic labelled table as CSV.
-func WriteTable(w io.Writer, header []string, rows [][]string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write(r); err != nil {
 			return err
 		}
 	}

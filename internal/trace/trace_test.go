@@ -6,56 +6,7 @@ import (
 	"testing"
 
 	"response/internal/stats"
-	"response/internal/topo"
-	"response/internal/traffic"
 )
-
-func TestSeriesRoundTrip(t *testing.T) {
-	s := &traffic.Series{IntervalSec: 900}
-	for i := 0; i < 3; i++ {
-		m := traffic.NewMatrix()
-		m.Set(0, 1, float64(100+i))
-		m.Set(2, 3, float64(50*i)) // zero in first interval: dropped
-		s.Matrices = append(s.Matrices, m)
-	}
-	var buf bytes.Buffer
-	if err := WriteSeries(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSeries(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IntervalSec != 900 || len(got.Matrices) != 3 {
-		t.Fatalf("shape: %v / %d", got.IntervalSec, len(got.Matrices))
-	}
-	for i := range s.Matrices {
-		if got.Matrices[i].Rate(0, 1) != s.Matrices[i].Rate(0, 1) {
-			t.Errorf("interval %d mismatch", i)
-		}
-		if got.Matrices[i].Rate(topo.NodeID(2), topo.NodeID(3)) != s.Matrices[i].Rate(2, 3) {
-			t.Errorf("interval %d pair (2,3) mismatch", i)
-		}
-	}
-}
-
-func TestReadSeriesErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"bogus,1\n",
-		"interval_sec,abc\n",
-		"interval_sec,900\n", // missing header row
-		"interval_sec,900\ninterval,origin,destination,rate_bps\nx,0,1,5\n",
-		"interval_sec,900\ninterval,origin,destination,rate_bps\n0,x,1,5\n",
-		"interval_sec,900\ninterval,origin,destination,rate_bps\n0,0,x,5\n",
-		"interval_sec,900\ninterval,origin,destination,rate_bps\n0,0,1,x\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadSeries(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
-	}
-}
 
 func TestWritePoints(t *testing.T) {
 	var buf bytes.Buffer
@@ -66,16 +17,5 @@ func TestWritePoints(t *testing.T) {
 	out := buf.String()
 	if !strings.HasPrefix(out, "x,y\n") || !strings.Contains(out, "1,0.5\n") {
 		t.Errorf("output = %q", out)
-	}
-}
-
-func TestWriteTable(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteTable(&buf, []string{"a", "b"}, [][]string{{"1", "2"}, {"3", "4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "3,4") {
-		t.Errorf("output = %q", buf.String())
 	}
 }

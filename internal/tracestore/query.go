@@ -264,8 +264,8 @@ func (s *Store) Summary(tenant string, start float64) (WindowDetail, bool) {
 	return det, true
 }
 
-// accountInto applies one event to a scratch window aggregate (the
-// tier-2 recomputation twin of Store.account).
+// accountInto applies one event to a window aggregate: the tier-1
+// index entry Store.account found, or tier-2's scratch recomputation.
 func accountInto(w *window, r *rec) {
 	w.events++
 	if r.ts < w.firstTS {

@@ -384,43 +384,7 @@ func (s *Store) account(r *rec) {
 			}
 		}
 	}
-	w.events++
-	if r.ts < w.firstTS {
-		w.firstTS = r.ts
-	}
-	if r.ts > w.lastTS {
-		w.lastTS = r.ts
-	}
-	switch r.class {
-	case clsFailure:
-		w.failures++
-	case clsCascade:
-		w.cascades++
-	case clsRepair:
-		w.repairs++
-	case clsEvacuate:
-		w.evacuations++
-	case clsShift:
-		w.shifts++
-	case clsWakeReq:
-		w.wakeRequests++
-	case clsLinkWake:
-		w.linkWakes++
-	case clsLinkSleep:
-		w.linkSleeps++
-	case clsProbe:
-		w.probes++
-	case clsSwap:
-		w.swaps++
-	case clsReplanFail:
-		w.replanFailures++
-	case clsDegraded:
-		w.degraded++
-	case clsRecovered:
-		w.recovered++
-	case clsRetry:
-		w.retries++
-	}
+	accountInto(w, r)
 }
 
 // Ingest reads a whole JSONL stream, line by line. Malformed lines are

@@ -20,7 +20,6 @@ type config struct {
 	core       core.PlanOpts
 	warm       *Plan
 	warmStrict bool
-	warmTol    float64
 	pathEngine string
 	engineSet  bool
 }
@@ -141,10 +140,10 @@ func WithSeed(seed int64) Option { return func(c *config) { c.core.Seed = seed }
 // WithWarmStart seeds the plan from a previous plan of the same
 // topology: every subset-search stage starts from the corresponding
 // stage of prev and re-proves only the delta, skipping the cold
-// multi-restart pool when the warm result lands within the tolerance
-// (see WithWarmTolerance). With unchanged inputs the warm plan is
+// multi-restart pool when the warm result's power lands within 5% of
+// the seed's. With unchanged inputs the warm plan is
 // fingerprint-identical to the cold plan in the capacity-slack regime
-// and power-equal within the tolerance otherwise; a stage whose seed
+// and power-equal within that tolerance otherwise; a stage whose seed
 // cannot be used falls back to the cold search, so warm-starting never
 // changes what is plannable.
 //
@@ -160,15 +159,6 @@ func WithWarmStart(prev *Plan) Option {
 // plan with ErrWarmStartMismatch instead of silently running cold.
 func WithWarmStartStrict(prev *Plan) Option {
 	return func(c *config) { c.warm, c.warmStrict = prev, true }
-}
-
-// WithWarmTolerance sets the power-regression gate of a warm-started
-// plan: each stage's warm result is kept only if its power is within
-// (1+tol)× of the warm seed's own power, otherwise the stage re-runs
-// cold. Zero selects the default (5%); a negative tol always accepts
-// the warm result.
-func WithWarmTolerance(tol float64) Option {
-	return func(c *config) { c.warmTol = tol }
 }
 
 // A Planner precomputes REsPoNse energy-critical path tables. The zero
@@ -224,7 +214,6 @@ func (pl *Planner) Plan(ctx context.Context, t *Topology, opts ...Option) (*Plan
 			// Lenient warm-start against the wrong topology: plan cold.
 		} else {
 			cfg.core.Warm = cfg.warm.Tables().WarmStart()
-			cfg.core.Warm.Tolerance = cfg.warmTol
 		}
 	}
 	tables, err := core.PlanContext(ctx, t, cfg.core)

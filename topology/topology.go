@@ -75,6 +75,10 @@ func AllOn(t *Topology) *ActiveSet { return topo.AllOn(t) }
 // AllOff returns an ActiveSet with every element unpowered.
 func AllOff(t *Topology) *ActiveSet { return topo.AllOff(t) }
 
+// Builtin builds the fixed ISP map called name ("geant", "abovenet",
+// "genuity"); an unknown name's error lists them.
+func Builtin(name string) (*Topology, error) { return topo.Builtin(name) }
+
 // NewGeant returns the 23-PoP GÉANT European research network.
 func NewGeant() *Topology { return topo.NewGeant() }
 
