@@ -24,7 +24,7 @@ type (
 	// HTTP management API over them.
 	Server = ictl.Server
 	// Opts parameterizes a Server: worker-slot count, per-tenant
-	// artifact retention, event buffering and the plan-hook test seam.
+	// artifact retention and the plan-hook test seam.
 	Opts = ictl.Opts
 	// Job is one asynchronous plan computation, cancellable while
 	// queued or mid-plan.
@@ -52,13 +52,16 @@ type (
 	InlineLink = ictl.InlineLink
 	// WorkloadSpec sizes the tenant's managed-flow replay.
 	WorkloadSpec = ictl.WorkloadSpec
-	// PolicySpec seeds the tenant's lifecycle trigger policy.
+	// PolicySpec seeds the tenant's replan policy: a lifecycle.Policy
+	// under the keys status reports and PATCH takes, plus the two values
+	// fixed at creation; validated exactly as a patch is.
 	PolicySpec = ictl.PolicySpec
 	// FaultSpec enables control-plane fault injection on the tenant's
-	// replan path.
+	// replan path (it is faultinject.Config).
 	FaultSpec = ictl.FaultSpec
-	// PolicyPatch is the PATCH /v1/tenants/{id}/config body: pointer
-	// fields, merged and validated whole before any of it applies.
+	// PolicyPatch is the typed client request for PATCH
+	// /v1/tenants/{id}/config: pointer fields, overlaid on the current
+	// policy and validated whole before any of it applies.
 	PolicyPatch = ictl.PolicyPatch
 )
 

@@ -45,8 +45,8 @@
 // from the wrong topology is silently ignored (or rejected with
 // ErrWarmStartMismatch under WithWarmStartStrict). The lifecycle
 // manager warm-starts deviation-triggered replans from the promoted
-// plan automatically (lifecycle.WarmHint; disable via Opts.NoWarmStart
-// or the policy knob), and controld plan jobs accept a warm_from
+// plan automatically (lifecycle.WarmHint; disable via
+// Policy.NoWarmStart), and controld plan jobs accept a warm_from
 // artifact digest. See DESIGN.md §10.
 //
 // # Plan artifacts
@@ -73,8 +73,10 @@
 // the loop online. A lifecycle.Manager monitors live demand drift
 // against the planned matrix with the paper's §3 deviation statistic,
 // replans off the hot path through the context-aware Planner when the
-// configured trigger policy fires (relative-deviation threshold,
-// hysteresis, minimum interval), stages the result as a versioned plan
+// configured trigger policy fires (lifecycle.Policy: relative-deviation
+// threshold, hysteresis, minimum interval — one struct that Opts
+// embeds, SetPolicy hot-patches and the daemon speaks on the wire,
+// validated wherever it enters), stages the result as a versioned plan
 // artifact behind fingerprint and power gates, and hot-swaps the
 // tables into a running simulate.Controller with zero traffic
 // disruption — new levels install as fresh subflows, demand hands over
@@ -105,7 +107,10 @@
 // shelve results in a content-addressed artifact store with bounded
 // retention, diff them with DiffPlans, promote and roll back through
 // each tenant's lifecycle manager, patch trigger policies without a
-// restart, and stream every tenant's event trace. See DESIGN.md §9.
+// restart (create, patch and status share lifecycle.Policy's keys and
+// its validation: a spec a patch would refuse is refused at
+// registration, before anything is built), and stream every tenant's
+// event trace. See DESIGN.md §9.
 //
 // # Observability
 //

@@ -19,7 +19,9 @@ import ifi "response/internal/faultinject"
 // Core injector types.
 type (
 	// Config sets the per-call fault rates (all probabilities in
-	// [0, 1]; the zero value injects nothing).
+	// [0, 1]; the zero value injects nothing). Its JSON keys are the
+	// controld daemon's wire form: a tenant spec's "faults" object is
+	// this struct.
 	Config = ifi.Config
 	// Counts tallies what an Injector actually did.
 	Counts = ifi.Counts

@@ -46,14 +46,11 @@ type Replay struct {
 type ReplayOpts struct {
 	// Stride sub-samples the trace (default 1: every interval).
 	Stride int
-	// Route configures feasibility routing.
-	Route mcf.RouteOpts
-	// Order is the greedy ordering (default PowerDesc — the fastest
-	// single heuristic; the recomputation-rate metric only needs the
-	// subset to track demand).
-	Order mcf.Order
-	// Optimal switches to the multi-restart subset search (slower,
-	// used when power numbers matter more than speed).
+	// Optimal switches from the greedy descent in its default PowerDesc
+	// order (the fastest single heuristic; the recomputation-rate
+	// metric only needs the subset to track demand) to the
+	// multi-restart subset search (slower, used when power numbers
+	// matter more than speed).
 	Optimal bool
 }
 
@@ -73,9 +70,9 @@ func ReplayMinSubsets(t *topo.Topology, s *traffic.Series, m power.Model, opts R
 			err     error
 		)
 		if opts.Optimal {
-			active, routing, err = mcf.OptimalSubset(t, demands, m, mcf.OptimalOpts{Route: opts.Route})
+			active, routing, err = mcf.OptimalSubset(t, demands, m, mcf.OptimalOpts{})
 		} else {
-			active, routing, err = mcf.GreedyMinSubset(t, demands, m, mcf.GreedyOpts{Order: opts.Order, Route: opts.Route})
+			active, routing, err = mcf.GreedyMinSubset(t, demands, m, mcf.GreedyOpts{})
 		}
 		if err != nil {
 			return nil, err

@@ -15,8 +15,8 @@ import (
 )
 
 // StreamingOpts parameterizes the live-streaming experiment: a source
-// streams a file at BitRate to every client; a client can play the
-// video when media blocks arrive before their play deadlines.
+// streams a file at streamBitRate to every client; a client can play
+// the video when media blocks arrive before their play deadlines.
 type StreamingOpts struct {
 	Source topo.NodeID
 	// Phase1Clients join at t=0; Phase2Clients join at Phase2At
@@ -24,13 +24,6 @@ type StreamingOpts struct {
 	Phase1Clients []topo.NodeID
 	Phase2Clients []topo.NodeID
 	Phase2At      float64
-	// BitRate is the stream rate (default 600 kb/s).
-	BitRate float64
-	// BlockSec is one media block's duration (default 1 s).
-	BlockSec float64
-	// StartupSec is the client-side buffering delay before playback
-	// (default 5 s).
-	StartupSec float64
 	// Duration is the total experiment length (default Phase2At+300).
 	Duration float64
 	// PathsFor supplies the installed path levels per (source,client)
@@ -40,8 +33,6 @@ type StreamingOpts struct {
 	Sim sim.Opts
 	// TE, when non-nil, runs a REsPoNseTE controller over the flows.
 	TE *te.Opts
-	// SamplePeriod for cumulative-byte sampling (default BlockSec/4).
-	SamplePeriod float64
 	// Background adds non-streaming load sharing the network (§5.4
 	// runs the workloads at network utilization levels, not on an
 	// idle network).
@@ -55,24 +46,25 @@ type BackgroundFlow struct {
 	Paths []topo.Path
 }
 
+// The §5.4 BulletMedia session.
+const (
+	// streamBitRate is the stream rate in bits/s.
+	streamBitRate float64 = 600 * topo.Kbps
+	// streamBlockSec is one media block's duration in seconds.
+	streamBlockSec float64 = 1
+	// streamStartupSec is the client-side buffering delay before
+	// playback.
+	streamStartupSec float64 = 5
+	// streamSamplePeriod is the cumulative-byte sampling period.
+	streamSamplePeriod = streamBlockSec / 4
+)
+
 func (o *StreamingOpts) defaults() {
-	if o.BitRate == 0 {
-		o.BitRate = 600 * topo.Kbps
-	}
-	if o.BlockSec == 0 {
-		o.BlockSec = 1
-	}
-	if o.StartupSec == 0 {
-		o.StartupSec = 5
-	}
 	if o.Phase2At == 0 {
 		o.Phase2At = 300
 	}
 	if o.Duration == 0 {
 		o.Duration = o.Phase2At + 300
-	}
-	if o.SamplePeriod == 0 {
-		o.SamplePeriod = o.BlockSec / 4
 	}
 }
 
@@ -140,7 +132,7 @@ func RunStreaming(t *topo.Topology, opts StreamingOpts) (*StreamingResult, error
 		c := &streamClient{node: node, joinAt: at}
 		clients = append(clients, c)
 		s.Schedule(at, func() {
-			f, err := s.AddFlow(opts.Source, node, opts.BitRate, paths)
+			f, err := s.AddFlow(opts.Source, node, streamBitRate, paths)
 			if err != nil {
 				return
 			}
@@ -165,7 +157,7 @@ func RunStreaming(t *topo.Topology, opts StreamingOpts) (*StreamingResult, error
 		ctrl.Start()
 	}
 	// Sample cumulative bytes.
-	s.SampleEvery(opts.SamplePeriod, opts.Duration, func(now float64) {
+	s.SampleEvery(streamSamplePeriod, opts.Duration, func(now float64) {
 		for _, c := range clients {
 			if c.flow == nil {
 				continue
@@ -185,7 +177,7 @@ func RunStreaming(t *topo.Topology, opts StreamingOpts) (*StreamingResult, error
 	var playable []float64
 	var latSum float64
 	var latN int
-	blockBytes := opts.BitRate / 8 * opts.BlockSec
+	blockBytes := streamBitRate / 8 * streamBlockSec
 	for _, c := range clients {
 		cr := scoreClient(c, blockBytes, opts)
 		res.Clients = append(res.Clients, cr)
@@ -213,8 +205,8 @@ func scoreClient(c *streamClient, blockBytes float64, opts StreamingOpts) Client
 	}
 	end := c.bytes[len(c.bytes)-1]
 	// Blocks the client should have played by the end of the run.
-	playSpan := end.Time - c.joinAt - opts.StartupSec
-	nBlocks := int(playSpan / opts.BlockSec)
+	playSpan := end.Time - c.joinAt - streamStartupSec
+	nBlocks := int(playSpan / streamBlockSec)
 	if nBlocks <= 0 {
 		return cr
 	}
@@ -226,17 +218,17 @@ func scoreClient(c *streamClient, blockBytes float64, opts StreamingOpts) Client
 		if !ok {
 			// Never arrived within the run: late by definition.
 			cr.Blocks++
-			latSum += end.Time - (c.joinAt + float64(i)*opts.BlockSec)
+			latSum += end.Time - (c.joinAt + float64(i)*streamBlockSec)
 			continue
 		}
-		deadline := c.joinAt + opts.StartupSec + float64(i)*opts.BlockSec
+		deadline := c.joinAt + streamStartupSec + float64(i)*streamBlockSec
 		cr.Blocks++
 		if arrival <= deadline {
 			cr.OnTime++
 		}
 		// Retrieval latency: from the block becoming available at the
 		// source (live stream: i·blockSec after join) to full arrival.
-		avail := c.joinAt + float64(i)*opts.BlockSec
+		avail := c.joinAt + float64(i)*streamBlockSec
 		if arrival > avail {
 			latSum += arrival - avail
 		}

@@ -11,15 +11,11 @@ import (
 
 // WebOpts parameterizes the web workload of §5.4: one stub node runs
 // the server, the remaining stub nodes run closed-loop clients fetching
-// 100 static files whose sizes follow the SPECweb2005 online-banking
-// distribution.
+// webFiles static files whose sizes follow the SPECweb2005
+// online-banking distribution.
 type WebOpts struct {
 	Server  topo.NodeID
 	Clients []topo.NodeID
-	// Files is the static file population (default 100).
-	Files int
-	// RequestsPerClient (default 250).
-	RequestsPerClient int
 	// PathFor returns the forward path used for (server → client)
 	// responses; requests travel its reverse latency.
 	PathFor func(server, client topo.NodeID) topo.Path
@@ -29,13 +25,14 @@ type WebOpts struct {
 	Seed           int64
 }
 
+// The §5.4 web session: the static file population and the closed
+// loop's length per client.
+const (
+	webFiles             = 100
+	webRequestsPerClient = 250
+)
+
 func (o *WebOpts) defaults() {
-	if o.Files == 0 {
-		o.Files = 100
-	}
-	if o.RequestsPerClient == 0 {
-		o.RequestsPerClient = 250
-	}
 	if o.BackgroundUtil == 0 {
 		o.BackgroundUtil = 0.5
 	}
@@ -79,7 +76,7 @@ func SpecwebBankingSizes(n int, seed int64) []float64 {
 // choice — exactly the quantity §5.4 reports (+≈9 % under REsPoNse).
 func RunWeb(t *topo.Topology, opts WebOpts) (*WebResult, error) {
 	opts.defaults()
-	sizes := SpecwebBankingSizes(opts.Files, opts.Seed)
+	sizes := SpecwebBankingSizes(webFiles, opts.Seed)
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	res := &WebResult{}
 	for _, c := range opts.Clients {
@@ -92,7 +89,7 @@ func RunWeb(t *topo.Topology, opts WebOpts) (*WebResult, error) {
 		if avail <= 0 {
 			return nil, fmt.Errorf("apps: zero residual bandwidth %d->%d", opts.Server, c)
 		}
-		for r := 0; r < opts.RequestsPerClient; r++ {
+		for r := 0; r < webRequestsPerClient; r++ {
 			size := sizes[rng.Intn(len(sizes))]
 			lat := rtt + size*8/avail
 			res.Latencies = append(res.Latencies, lat)

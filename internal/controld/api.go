@@ -35,14 +35,25 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 // maxBodyBytes bounds every request body the daemon will read.
 const maxBodyBytes = 8 << 20
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+// readBody reads a bounded request body whole and decodes it strictly
+// into v, answering 400 itself when either fails. The bytes come back
+// for the two routes that decode them again, onto defaults.
+func readBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
 	}
-	return true
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return body, err == nil
+}
+
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	_, ok := readBody(w, r, v)
+	return ok
 }
 
 // planBytes serializes a plan to its versioned artifact bytes.
@@ -143,7 +154,12 @@ func (s *Server) handleTenantList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 	var spec TenantSpec
-	if !readJSON(w, r, &spec) {
+	body, ok := readBody(w, r, &spec)
+	if !ok {
+		return
+	}
+	if err := spec.resolve(body); err != nil {
+		writeErr(w, http.StatusUnprocessableEntity, "register %q: %v", spec.Name, err)
 		return
 	}
 	t, err := newTenant(spec, s.hub, s.opts.MaxArtifacts)
@@ -247,8 +263,9 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, t *tenant
 	writeJSON(w, http.StatusOK, map[string]float64{"sim_now": now})
 }
 
-// PolicyPatch is the PATCH …/config body: every field optional, the
-// merged policy validated as a whole before any of it is applied.
+// PolicyPatch is the typed client request for PATCH …/config: one
+// optional field per lifecycle.Policy key plus the loop pacing. The
+// server decodes the body straight onto the tenant's current policy.
 type PolicyPatch struct {
 	Deviation         *float64 `json:"deviation,omitempty"`
 	Spread            *float64 `json:"spread,omitempty"`
@@ -266,50 +283,31 @@ type PolicyPatch struct {
 }
 
 func (s *Server) handleConfigPatch(w http.ResponseWriter, r *http.Request, t *tenant) {
-	var patch PolicyPatch
-	if !readJSON(w, r, &patch) {
+	var patch struct {
+		ilc.Policy
+		SimRate *float64 `json:"sim_rate"`
+	}
+	body, ok := readBody(w, r, &patch) // refuses malformed bodies and unknown keys
+	if !ok {
 		return
 	}
-	if patch.SimRate != nil && (*patch.SimRate < 0 || *patch.SimRate > 1e6) {
-		writeErr(w, http.StatusUnprocessableEntity, "sim_rate must be in [0, 1e6]")
-		return
+	if patch.SimRate != nil {
+		if err := checkSimRate(*patch.SimRate); err != nil {
+			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
 	}
 	var applyErr error
 	var applied ilc.Policy
 	err := t.do(func() {
-		p := t.rep.Mgr.Policy()
-		if patch.Deviation != nil {
-			p.Deviation = *patch.Deviation
-		}
-		if patch.Spread != nil {
-			p.Spread = *patch.Spread
-		}
-		if patch.Hysteresis != nil {
-			p.Hysteresis = *patch.Hysteresis
-		}
-		if patch.MinIntervalSec != nil {
-			p.MinInterval = *patch.MinIntervalSec
-		}
-		if patch.ReplanDeadlineSec != nil {
-			p.ReplanDeadline = *patch.ReplanDeadlineSec
-		}
-		if patch.RetryBaseSec != nil {
-			p.RetryBase = *patch.RetryBaseSec
-		}
-		if patch.RetryMaxSec != nil {
-			p.RetryMax = *patch.RetryMaxSec
-		}
-		if patch.DegradedAfter != nil {
-			p.DegradedAfter = *patch.DegradedAfter
-		}
-		if patch.NoWarmStart != nil {
-			p.NoWarmStart = *patch.NoWarmStart
-		}
+		// Overlay the body's policy keys on the current policy — absent
+		// keys keep their value — on the loop goroutine, so concurrent
+		// patches merge instead of overwriting each other.
+		applied = t.rep.Mgr.Policy()
+		json.Unmarshal(body, &applied) //nolint:errcheck // decoded once already
 		// SetPolicy validates the merged policy and applies it whole, so
 		// a rejected patch leaves every threshold untouched.
-		if applyErr = t.rep.Mgr.SetPolicy(p); applyErr == nil {
-			applied = t.rep.Mgr.Policy()
-		}
+		applyErr = t.rep.Mgr.SetPolicy(applied)
 	})
 	if err != nil {
 		writeErr(w, http.StatusGone, "%v", err)
@@ -581,7 +579,7 @@ func (s *Server) handleTraceEvents(w http.ResponseWriter, r *http.Request, t *te
 
 // handleMetrics serves the Prometheus text page: every tenant's
 // runtime counter families (tenant-labeled), then the trace store's
-// own bookkeeping.
+// own bookkeeping and what its feed lost on the way in.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ts := s.reg.all()
 	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
@@ -593,7 +591,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if err := metrics.WritePrometheus(w, sets); err != nil {
 		return
 	}
-	s.store.WritePrometheus(w) //nolint:errcheck // response writer
+	if err := s.store.WritePrometheus(w); err != nil {
+		return
+	}
+	const name = "response_controld_events_dropped_total"
+	fmt.Fprintf(w, "# HELP %s Event lines lost to a full subscriber buffer (tracestore: incident queries over that span are incomplete).\n# TYPE %s counter\n%s{consumer=\"tracestore\"} %d\n%s{consumer=\"stream\"} %d\n",
+		name, name, name, s.feedDropped.Value(), name, s.streamDropped.Value()) //nolint:errcheck // response writer
 }
 
 func (s *Server) handleTenantEvents(w http.ResponseWriter, r *http.Request, t *tenant) {
@@ -632,7 +635,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, tenant str
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	sub := s.hub.subscribe(tenant, s.opts.EventBuffer)
+	sub := s.hub.subscribe(tenant, streamBuffer, &s.streamDropped)
 	defer s.hub.unsubscribe(sub)
 	sent := 0
 	for {

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 
 	"response"
+	"response/internal/metrics"
 	"response/internal/tracestore"
 	"response/internal/traffic"
 )
@@ -52,13 +53,6 @@ type Opts struct {
 	// MaxArtifacts bounds each tenant's artifact shelf (default 8,
 	// floor 3: promoted + last-known-good + one candidate).
 	MaxArtifacts int
-	// EventBuffer is the per-subscriber event channel depth (default
-	// 256); a subscriber that falls further behind loses events.
-	EventBuffer int
-	// Trace parameterizes the embedded trace store serving the
-	// …/trace/* incident queries (zero values take the tracestore
-	// defaults: 1Mi events, 4096 windows per tenant, 900 s windows).
-	Trace tracestore.Opts
 	// PlanHook, when set, replaces the real planner for plan jobs —
 	// a test seam for exercising cancellation and failure paths
 	// deterministically.
@@ -75,9 +69,6 @@ func (o *Opts) defaults() {
 		} else {
 			o.MaxArtifacts = 8
 		}
-	}
-	if o.EventBuffer <= 0 {
-		o.EventBuffer = 256
 	}
 }
 
@@ -96,6 +87,11 @@ type Server struct {
 	// drained its subscription (after hub.close).
 	ingestDone chan struct{}
 
+	// Event lines lost to a full subscriber buffer, by consumer: the
+	// trace store's feed (incident queries over that span are
+	// incomplete) and the API event streams.
+	feedDropped, streamDropped metrics.Counter
+
 	draining  atomic.Bool
 	drainOnce sync.Once
 }
@@ -107,16 +103,16 @@ func New(opts Opts) *Server {
 		opts:       opts,
 		reg:        newRegistry(),
 		hub:        newHub(),
-		store:      tracestore.New(opts.Trace),
+		store:      tracestore.New(tracestore.Opts{}), // 1Mi events, 4096 windows per tenant, 900 s windows
 		mux:        http.NewServeMux(),
 		ingestDone: make(chan struct{}),
 	}
 	s.sched = newScheduler(opts.Workers, s.runPlanJob)
 	// The trace store is just another hub subscriber, behind a deep
 	// buffer: a query burst can slow ingestion (dropped lines are the
-	// same back-pressure answer every subscriber gets), but it can
-	// never stall a tenant loop.
-	sub := s.hub.subscribe("", 4096)
+	// same back-pressure answer every subscriber gets, counted on
+	// /metrics), but it can never stall a tenant loop.
+	sub := s.hub.subscribe("", 4096, &s.feedDropped)
 	go func() {
 		defer close(s.ingestDone)
 		for line := range sub.ch {

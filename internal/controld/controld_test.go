@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"response"
+	ilc "response/internal/lifecycle"
 )
 
 // testClient wraps an httptest server with JSON helpers.
@@ -365,18 +366,15 @@ func TestFaultTenantDegradedCycle(t *testing.T) {
 
 	faulty := genSpec("faulty", 3)
 	faulty.Policy = &PolicySpec{
-		Deviation:      0.05,
-		Spread:         0.1,
-		CheckSec:       900,
-		MinIntervalSec: 900,
-		DegradedAfter:  2,
+		Policy:   ilc.Policy{Deviation: 0.05, Spread: 0.1, MinInterval: 900, DegradedAfter: 2},
+		CheckSec: 900,
 	}
 	faulty.Faults = &FaultSpec{FailFirst: 4}
 	c.req("POST", "/v1/tenants", faulty, http.StatusCreated, nil)
 
 	healthy := genSpec("healthy", 3)
 	healthy.Policy = &PolicySpec{
-		Deviation: 0.05, Spread: 0.1, CheckSec: 900, MinIntervalSec: 900,
+		Policy: ilc.Policy{Deviation: 0.05, Spread: 0.1, MinInterval: 900}, CheckSec: 900,
 	}
 	c.req("POST", "/v1/tenants", healthy, http.StatusCreated, nil)
 

@@ -3,13 +3,16 @@ package controld
 import (
 	"bytes"
 	"sync"
+
+	"response/internal/metrics"
 )
 
 // hub fans the per-tenant JSONL event traces out to API subscribers.
 // Each tenant runtime owns a trace.EventWriter writing into a
 // tenantTee; the tee stamps every line with the tenant name and
 // publishes it. Subscribers hold a bounded channel: a slow consumer
-// loses events (counted), never stalls a tenant's simulation loop.
+// loses events (counted per kind of consumer and reported on
+// /metrics), never stalls a tenant's simulation loop.
 type hub struct {
 	mu     sync.Mutex
 	subs   map[*subscriber]struct{}
@@ -20,16 +23,21 @@ type hub struct {
 type subscriber struct {
 	tenant  string // filter; "" receives every tenant
 	ch      chan []byte
-	dropped int
+	dropped *metrics.Counter // the consumer kind's count of lines lost to a full buffer
 }
+
+// streamBuffer is an event stream's channel depth; a subscriber that
+// falls further behind loses events.
+const streamBuffer = 256
 
 func newHub() *hub {
 	return &hub{subs: make(map[*subscriber]struct{})}
 }
 
-// subscribe registers a consumer for one tenant's events ("" = all).
-func (h *hub) subscribe(tenant string, buffer int) *subscriber {
-	sub := &subscriber{tenant: tenant, ch: make(chan []byte, buffer)}
+// subscribe registers a consumer for one tenant's events ("" = all);
+// dropped counts what its buffer loses.
+func (h *hub) subscribe(tenant string, buffer int, dropped *metrics.Counter) *subscriber {
+	sub := &subscriber{tenant: tenant, ch: make(chan []byte, buffer), dropped: dropped}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -76,7 +84,7 @@ func (h *hub) publish(tenant string, line []byte) {
 		select {
 		case sub.ch <- line:
 		default:
-			sub.dropped++
+			sub.dropped.Inc()
 		}
 	}
 }

@@ -2,6 +2,7 @@ package controld
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"regexp"
@@ -11,6 +12,7 @@ import (
 	"response"
 	"response/internal/core"
 	"response/internal/faultinject"
+	ilc "response/internal/lifecycle"
 	"response/internal/metrics"
 	"response/internal/scenario"
 	"response/internal/sim"
@@ -89,30 +91,92 @@ type WorkloadSpec struct {
 	SimRate float64 `json:"sim_rate,omitempty"`
 }
 
-// PolicySpec seeds the lifecycle manager's trigger policy (all
-// optional; zero fields keep the lifecycle defaults). The same fields
-// are hot-patchable later via PATCH …/config.
+// PolicySpec is a tenant spec's "policy" object: the lifecycle policy
+// under the keys status reports and PATCH …/config takes, plus the two
+// values fixed at creation (lifecycle.Opts.CheckEvery, ReplanLatency).
+// An omitted key takes its default (scenario.Config.ReplanOpts); a key
+// the request carries is a value, validated exactly as a patch is.
 type PolicySpec struct {
-	Deviation      float64 `json:"deviation,omitempty"`
-	Spread         float64 `json:"spread,omitempty"`
-	CheckSec       float64 `json:"check_sec,omitempty"`
-	MinIntervalSec float64 `json:"min_interval_sec,omitempty"`
-	LatencySec     float64 `json:"latency_sec,omitempty"`
-	DeadlineSec    float64 `json:"deadline_sec,omitempty"`
-	DegradedAfter  int     `json:"degraded_after,omitempty"`
+	ilc.Policy
+	CheckSec   float64 `json:"check_sec,omitempty"`
+	LatencySec float64 `json:"latency_sec,omitempty"`
 }
 
-// FaultSpec mirrors faultinject.Config for the wire: control-plane
-// fault injection on the tenant's replan path.
-type FaultSpec struct {
-	Seed           int64   `json:"seed,omitempty"`
-	FailFirst      int     `json:"fail_first,omitempty"`
-	ErrorRate      float64 `json:"error_rate,omitempty"`
-	InfeasibleRate float64 `json:"infeasible_rate,omitempty"`
-	PanicRate      float64 `json:"panic_rate,omitempty"`
-	SlowRate       float64 `json:"slow_rate,omitempty"`
-	CorruptRate    float64 `json:"corrupt_rate,omitempty"`
-	TruncateRate   float64 `json:"truncate_rate,omitempty"`
+// FaultSpec enables control-plane fault injection on the tenant's
+// replan path.
+type FaultSpec = faultinject.Config
+
+// checkSimRate bounds a tenant loop's pacing, on create and on patch.
+func checkSimRate(rate float64) error {
+	if !(rate >= 0 && rate <= 1e6) {
+		return fmt.Errorf("sim_rate must be in [0, 1e6], got %g", rate)
+	}
+	return nil
+}
+
+// validate refuses a workload the replay would mis-size or never
+// finish stepping through (zero keeps meaning "default").
+func (w *WorkloadSpec) validate() error {
+	switch {
+	case w.Flows < 0:
+		return fmt.Errorf("workload: flows must be >= 0, got %d", w.Flows)
+	case !(w.PeakUtil >= 0):
+		return fmt.Errorf("workload: peak_util must be >= 0, got %g", w.PeakUtil)
+	case !(w.StepSec >= 0):
+		return fmt.Errorf("workload: step_sec must be >= 0, got %g", w.StepSec)
+	}
+	return checkSimRate(w.SimRate)
+}
+
+// scenarioConfig maps the spec onto the tenant's replay configuration.
+// Everything omitted takes the scenario catalog's diurnal defaults, but
+// a tenant always runs a lifecycle manager.
+func (spec *TenantSpec) scenarioConfig() scenario.Config {
+	cfg := scenario.Config{Flows: 200}
+	if w := spec.Workload; w != nil {
+		if w.Flows > 0 {
+			cfg.Flows = w.Flows
+		}
+		cfg.Seed = w.Seed
+		cfg.PeakUtil = w.PeakUtil
+		cfg.StepSec = w.StepSec
+	}
+	if p := spec.Policy; p != nil {
+		cfg.Replan = p.Policy
+		cfg.ReplanCheck = p.CheckSec
+		cfg.ReplanLatency = p.LatencySec
+	}
+	if cfg.Replan.Deviation == 0 {
+		cfg.Replan.Deviation = 0.2
+	}
+	if spec.Faults != nil {
+		cfg.Faults = *spec.Faults
+	}
+	return cfg
+}
+
+// resolve checks a decoded create request before anything is built for
+// it, and replaces spec.Policy with the full policy the tenant will
+// run: the defaults the spec implies, overlaid with the keys the body
+// carries. The overlay is what makes create agree with PATCH …/config:
+// a present key is a value to validate (an explicit "degraded_after": 0
+// is refused, not read as "default"), an absent one keeps its default.
+func (spec *TenantSpec) resolve(body []byte) error {
+	if w := spec.Workload; w != nil {
+		if err := w.validate(); err != nil {
+			return err
+		}
+	}
+	opts := spec.scenarioConfig().ReplanOpts()
+	pol := &PolicySpec{Policy: opts.Policy, CheckSec: opts.CheckEvery, LatencySec: opts.ReplanLatency}
+	// The body already decoded strictly into spec; this pass only
+	// re-reads its "policy" object onto the defaults.
+	json.Unmarshal(body, &struct { //nolint:errcheck // decoded once already
+		Policy *PolicySpec `json:"policy"`
+	}{pol})
+	spec.Policy = pol
+	opts.Policy, opts.CheckEvery, opts.ReplanLatency = pol.Policy, pol.CheckSec, pol.LatencySec
+	return opts.Validate()
 }
 
 var tenantNameRe = regexp.MustCompile(`^[a-z0-9]([a-z0-9-]{0,62}[a-z0-9])?$`)
@@ -126,7 +190,6 @@ var errTenantStopped = errors.New("controld: tenant stopped")
 // loop goroutine — the registry itself never touches the simulator.
 type tenant struct {
 	name      string
-	spec      TenantSpec
 	rep       *scenario.Replay
 	planner   *response.Planner
 	topoGraph *topo.Topology
@@ -251,39 +314,10 @@ func newTenant(spec TenantSpec, h *hub, maxArtifacts int) (*tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := scenario.Config{ReplanDeviation: 0.2, Flows: 200}
+	cfg := spec.scenarioConfig()
 	simRate := 0.0
 	if w := spec.Workload; w != nil {
-		if w.Flows > 0 {
-			cfg.Flows = w.Flows
-		}
-		cfg.Seed = w.Seed
-		cfg.PeakUtil = w.PeakUtil
-		cfg.StepSec = w.StepSec
 		simRate = w.SimRate
-	}
-	if p := spec.Policy; p != nil {
-		if p.Deviation > 0 {
-			cfg.ReplanDeviation = p.Deviation
-		}
-		cfg.ReplanSpread = p.Spread
-		cfg.ReplanCheck = p.CheckSec
-		cfg.ReplanMinGap = p.MinIntervalSec
-		cfg.ReplanLatency = p.LatencySec
-		cfg.ReplanDeadline = p.DeadlineSec
-		cfg.DegradedAfter = p.DegradedAfter
-	}
-	if f := spec.Faults; f != nil {
-		cfg.Faults = faultinject.Config{
-			Seed:           f.Seed,
-			FailFirst:      f.FailFirst,
-			ErrorRate:      f.ErrorRate,
-			InfeasibleRate: f.InfeasibleRate,
-			PanicRate:      f.PanicRate,
-			SlowRate:       f.SlowRate,
-			CorruptRate:    f.CorruptRate,
-			TruncateRate:   f.TruncateRate,
-		}
 	}
 	events := trace.NewEventWriter(newTenantTee(h, spec.Name))
 	cfg.Events = events
@@ -295,7 +329,6 @@ func newTenant(spec TenantSpec, h *hub, maxArtifacts int) (*tenant, error) {
 	}
 	t := &tenant{
 		name:      spec.Name,
-		spec:      spec,
 		rep:       rep,
 		planner:   response.NewPlanner(response.WithEndpoints(endpoints)),
 		topoGraph: g,

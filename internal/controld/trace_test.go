@@ -121,3 +121,48 @@ func TestTraceQueriesAndMetrics(t *testing.T) {
 func fmtFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
+
+// TestEventDropsOnMetrics overfills both kinds of hub subscriber and
+// requires /metrics to say so: before the counter was surfaced, a trace
+// store whose feed overflowed answered critical-path queries over a
+// silently thinned event set.
+func TestEventDropsOnMetrics(t *testing.T) {
+	s, c := newTestDaemon(t, Opts{Workers: 1})
+	if page := c.getText("/metrics", http.StatusOK); !strings.Contains(page,
+		`response_controld_events_dropped_total{consumer="tracestore"} 0`) {
+		t.Fatalf("/metrics before any event lacks a zero tracestore drop counter:\n%s", page)
+	}
+
+	// A stream that never reads keeps its first buffer-full and loses
+	// the rest.
+	stalled := s.hub.subscribe("", 2, &s.streamDropped)
+	defer s.hub.unsubscribe(stalled)
+	line := []byte(`{"tenant":"flood","t":1,"span":"te","op":"probe","link":-1}`)
+	for i := 0; i < 5; i++ {
+		s.hub.publish("flood", line)
+	}
+	if got := s.streamDropped.Value(); got != 3 {
+		t.Errorf("stalled stream dropped %d of 5 lines through a 2-deep buffer, want 3", got)
+	}
+
+	// The store's feed is 4096 deep and drains concurrently, but
+	// publishing is far cheaper than ingesting: flood until it spills.
+	for i := 0; s.feedDropped.Value() == 0; i++ {
+		if i == 5_000_000 {
+			t.Fatal("5M lines published and the store feed never overflowed")
+		}
+		s.hub.publish("flood", line)
+	}
+	page := c.getText("/metrics", http.StatusOK)
+	for _, want := range []string{
+		"# TYPE response_controld_events_dropped_total counter",
+		`response_controld_events_dropped_total{consumer="stream"} `,
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	if strings.Contains(page, `response_controld_events_dropped_total{consumer="tracestore"} 0`) {
+		t.Errorf("the store feed dropped %d lines but /metrics still reports 0", s.feedDropped.Value())
+	}
+}

@@ -49,6 +49,10 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// epsilon is the per-pair demand, in bits/s, of the traffic-oblivious
+// always-on computation (§4.1's ε-demand).
+const epsilon float64 = 1
+
 // PlanOpts parameterizes the off-line path precomputation.
 type PlanOpts struct {
 	// N is the number of energy-critical paths per pair (default 3:
@@ -65,9 +69,6 @@ type PlanOpts struct {
 	// when computing on-demand paths (default 0.2, §4.2). Zero selects
 	// the default; a negative value disables exclusion entirely.
 	StressExclude float64
-	// Epsilon is the per-pair demand used for the traffic-oblivious
-	// always-on computation (default 1 bit/s, §4.1).
-	Epsilon float64
 	// LowTM, when non-nil, replaces the ε-demand with a measured
 	// off-peak matrix (d_low).
 	LowTM *traffic.Matrix
@@ -135,9 +136,6 @@ func (o *PlanOpts) defaults(t *topo.Topology) error {
 	}
 	if o.StressExclude == 0 {
 		o.StressExclude = 0.2
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 1 // 1 bit/s
 	}
 	if o.MaxUtil < 0 {
 		return fmt.Errorf("core: MaxUtil must be positive, got %g", o.MaxUtil)
@@ -216,7 +214,7 @@ func PlanContext(ctx context.Context, t *topo.Topology, opts PlanOpts) (*Tables,
 	total := rounds + 3 // always-on + rounds + failover + done
 	lowTM := opts.LowTM
 	if lowTM == nil {
-		lowTM = traffic.Uniform(opts.Nodes, opts.Epsilon)
+		lowTM = traffic.Uniform(opts.Nodes, epsilon)
 	}
 	lowDemands := lowTM.Demands()
 
@@ -452,7 +450,7 @@ func onDemandStress(ctx context.Context, t *topo.Topology, tables *Tables, opts 
 	deltaMax := mcf.MaxFeasibleScale(t, shape, mcf.RouteOpts{
 		MaxUtil: opts.MaxUtil, Avoid: avoid,
 	}, 0.05)
-	sizing := traffic.Uniform(opts.Nodes, opts.Epsilon)
+	sizing := traffic.Uniform(opts.Nodes, epsilon)
 	if deltaMax > 0 {
 		sizing = shape.Scale(0.8 * deltaMax)
 	}

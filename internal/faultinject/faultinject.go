@@ -43,36 +43,37 @@ var ErrInjected = errors.New("faultinject: injected planner error")
 // Config sets the per-call fault rates. All rates are probabilities in
 // [0, 1] and are evaluated in the field order below — at most one
 // replan fault and one artifact fault fire per call. The zero value
-// injects nothing.
+// injects nothing. The JSON keys are the controld daemon's wire form
+// (a tenant spec's "faults" object is this struct).
 type Config struct {
 	// Seed drives every fault decision (default 1). Identical
 	// (Seed, rates, call sequence) reproduce the identical faults.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// FailFirst deterministically fails the first FailFirst replan
 	// calls with ErrInjected before any rate applies — a control-plane
 	// outage window, used to force the manager through its Degraded
 	// entry/exit path regardless of the dice.
-	FailFirst int
+	FailFirst int `json:"fail_first,omitempty"`
 	// ErrorRate is the probability a replan returns ErrInjected.
-	ErrorRate float64
+	ErrorRate float64 `json:"error_rate,omitempty"`
 	// InfeasibleRate is the probability a replan returns
 	// response.ErrInfeasible (the planner's honest "no plan exists").
-	InfeasibleRate float64
+	InfeasibleRate float64 `json:"infeasible_rate,omitempty"`
 	// PanicRate is the probability a replan panics mid-computation.
-	PanicRate float64
+	PanicRate float64 `json:"panic_rate,omitempty"`
 	// SlowRate is the probability a replan runs so slowly it blows the
 	// manager's replan deadline: when the context carries a budget
-	// (lifecycle.Opts.ReplanDeadline), the call returns an error
+	// (lifecycle.Policy.ReplanDeadline), the call returns an error
 	// wrapping context.DeadlineExceeded; with no budget the slowness
 	// is harmless and the underlying replan proceeds.
-	SlowRate float64
+	SlowRate float64 `json:"slow_rate,omitempty"`
 	// CorruptRate is the probability the staged plan artifact has one
 	// bit flipped before the gate re-reads it; TruncateRate the
 	// probability it is truncated instead. Both must be caught by the
 	// artifact round-trip gate (CRC / header validation), never
 	// installed.
-	CorruptRate  float64
-	TruncateRate float64
+	CorruptRate  float64 `json:"corrupt_rate,omitempty"`
+	TruncateRate float64 `json:"truncate_rate,omitempty"`
 }
 
 // Any reports whether the config can inject at least one fault.

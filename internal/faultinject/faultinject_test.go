@@ -141,7 +141,7 @@ func TestSlowNeedsBudget(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("no budget: underlying replan not called")
 	}
-	// lifecycle.Opts.ReplanDeadline attaches the budget; reproduce it
+	// lifecycle.Policy.ReplanDeadline attaches the budget; reproduce it
 	// through a manager-independent probe: the injector only sees the
 	// context, so any budget-carrying ctx triggers the fault. The only
 	// way to build one is through the manager, so assert via error

@@ -37,8 +37,8 @@ func TestDegradedEntryAndExit(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	fr := &flakyReplan{r: r}
 	m := New(r.s, r.c, r.plan, fr.fn(), Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		RetryBase: 20, RetryMax: 40, DegradedAfter: 2,
+		Policy:     Policy{MinInterval: 100, RetryBase: 20, RetryMax: 40, DegradedAfter: 2},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -94,8 +94,8 @@ func TestReplanPanicRecovered(t *testing.T) {
 		return r.plan, nil
 	}
 	m := New(r.s, r.c, r.plan, bomb, Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		RetryBase: 20, RetryMax: 40,
+		Policy:     Policy{MinInterval: 100, RetryBase: 20, RetryMax: 40},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -133,8 +133,8 @@ func TestReplanDeadlineInline(t *testing.T) {
 		return r.plan, nil
 	}
 	m := New(r.s, r.c, r.plan, slow, Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		ReplanDeadline: 50, RetryBase: 20, RetryMax: 40,
+		Policy:     Policy{MinInterval: 100, ReplanDeadline: 50, RetryBase: 20, RetryMax: 40},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -158,8 +158,8 @@ func TestBackgroundDeadlineCancels(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	m := New(r.s, r.c, r.plan, hung, Opts{
-		CheckEvery: 100, MinInterval: 100, Background: true,
-		ReplanDeadline: 150, RetryBase: 1e6, DegradedAfter: -1,
+		Policy:     Policy{MinInterval: 100, ReplanDeadline: 150, RetryBase: 1e6, DegradedAfter: -1},
+		CheckEvery: 100, Background: true,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -184,8 +184,8 @@ func TestCorruptArtifactKeepsLastGood(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	corrupt := true
 	m := New(r.s, r.c, r.plan, r.liveReplan(), Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		RetryBase: 20, RetryMax: 40, DegradedAfter: -1, NoPowerGate: true,
+		Policy:     Policy{MinInterval: 100, RetryBase: 20, RetryMax: 40, DegradedAfter: -1},
+		CheckEvery: 100, ReplanLatency: 10, NoPowerGate: true,
 		ArtifactFilter: func(b []byte) []byte {
 			if !corrupt {
 				return b
@@ -237,7 +237,8 @@ func TestReplanAfterStopDiscarded(t *testing.T) {
 		return r.plan, nil
 	}
 	m := New(r.s, r.c, r.plan, replan, Opts{
-		CheckEvery: 100, MinInterval: 100, Background: true,
+		Policy:     Policy{MinInterval: 100},
+		CheckEvery: 100, Background: true,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -267,7 +268,8 @@ func TestReplanAfterStopDiscarded(t *testing.T) {
 func TestStageAndSwapRejectedWhileDraining(t *testing.T) {
 	r := newRig(t, 2, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.liveReplan(), Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
+		Policy:     Policy{MinInterval: 100},
+		CheckEvery: 100, ReplanLatency: 10,
 		NoPowerGate: true, DrainGrace: 500,
 	})
 	m.Start()
@@ -316,8 +318,8 @@ func TestRetryAbandonedWhenCalm(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	fr := &flakyReplan{r: r}
 	m := New(r.s, r.c, r.plan, fr.fn(), Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		RetryBase: 300, RetryMax: 300, DegradedAfter: -1,
+		Policy:     Policy{MinInterval: 100, RetryBase: 300, RetryMax: 300, DegradedAfter: -1},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)

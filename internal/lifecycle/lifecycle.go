@@ -154,7 +154,7 @@ func withReplanBudget(ctx context.Context, sec float64) context.Context {
 }
 
 // ReplanBudget returns the simulated-seconds compute budget the
-// manager attached to a replan context (Opts.ReplanDeadline), if any.
+// manager attached to a replan context (Policy.ReplanDeadline), if any.
 func ReplanBudget(ctx context.Context) (float64, bool) {
 	v, ok := ctx.Value(replanBudgetKey{}).(float64)
 	return v, ok
@@ -173,8 +173,8 @@ func withWarmHint(ctx context.Context, p *response.Plan) context.Context {
 
 // WarmHint returns the warm-start seed the manager attached to a
 // replan context — the promoted (current) plan at launch time — if
-// any. Managers attach it unless Opts.NoWarmStart (or the policy
-// knob) disables warm-starting.
+// any. Managers attach it unless Policy.NoWarmStart disables
+// warm-starting.
 func WarmHint(ctx context.Context) (*response.Plan, bool) {
 	p, ok := ctx.Value(warmHintKey{}).(*response.Plan)
 	return p, ok
@@ -185,53 +185,99 @@ type panicError struct{ v any }
 
 func (e panicError) Error() string { return fmt.Sprintf("lifecycle: replan panicked: %v", e.v) }
 
-// Opts parameterizes a Manager.
-type Opts struct {
-	// CheckEvery is the monitor cadence in simulated seconds (default
-	// 900, the GÉANT trace interval).
-	CheckEvery float64
+// Policy is the replan policy: the deviation-trigger thresholds, the
+// replan deadline, the retry backoff and the degradation threshold —
+// the nine values an operator tunes on a live control loop. It is
+// declared once, here: Opts embeds it, scenario.Config carries one, and
+// the controld daemon reads, creates and hot-patches tenants with it
+// under the JSON keys below, so every way in speaks one key set and
+// runs one Validate. A zero field takes its default when a Manager is
+// built (and is omitted from the JSON form, so a partly filled Policy
+// marshals to a request for the defaults); SetPolicy applies a Policy
+// verbatim.
+type Policy struct {
 	// Deviation is the per-pair relative demand change that counts a
 	// pair as deviating (default 0.2 = 20%).
-	Deviation float64
+	Deviation float64 `json:"deviation,omitempty"`
 	// Spread is the fraction of planned pairs that must deviate to
 	// fire a replan (default 0.25).
-	Spread float64
+	Spread float64 `json:"spread,omitempty"`
 	// Hysteresis re-arms the trigger only once the deviating fraction
 	// falls below Hysteresis×Spread (default 0.5). After a completed
 	// replan the baseline resets to the trigger snapshot, so ordinary
 	// drift re-arms within a check or two; the band exists so demand
 	// hovering just under the trigger level cannot fire back-to-back
 	// replans.
-	Hysteresis float64
+	Hysteresis float64 `json:"hysteresis,omitempty"`
 	// MinInterval is the minimum simulated time between deviation-
 	// triggered replans (default 1800 s — bounding the recomputation
 	// rate the paper measures at ~4/hour). Failure retries are paced
 	// by the backoff instead.
-	MinInterval float64
+	MinInterval float64 `json:"min_interval_sec,omitempty"`
+	// ReplanDeadline is the simulated-seconds budget for one replan
+	// computation (0 = unbounded, the default). The budget travels on
+	// the replan context (ReplanBudget) so inline replans — which
+	// compute instantly in wall time — can honor it; a background
+	// replan still in flight when the budget elapses on the simulated
+	// clock is canceled. A blown deadline is a failed cycle
+	// (Metrics.ReplanTimeouts).
+	ReplanDeadline float64 `json:"replan_deadline_sec,omitempty"`
+	// RetryBase and RetryMax bound the decorrelated-jitter backoff
+	// between a failed cycle and its retry (defaults 60 s and
+	// MinInterval/2, at least RetryBase). Retries bypass the deviation
+	// trigger and MinInterval — they re-run an already-admitted cycle.
+	RetryBase float64 `json:"retry_base_sec,omitempty"`
+	RetryMax  float64 `json:"retry_max_sec,omitempty"`
+	// DegradedAfter is the number of consecutive failed cycles that
+	// trips the manager into StateDegraded, pinning the all-on element
+	// set until a cycle succeeds (default 3; negative disables
+	// degradation).
+	DegradedAfter int `json:"degraded_after,omitempty"`
+	// NoWarmStart stops the manager from attaching the promoted plan
+	// to replan contexts as a warm-start seed (see WarmHint). Replans
+	// then always run cold, the pre-warm-start behavior.
+	NoWarmStart bool `json:"no_warm_start,omitempty"`
+}
+
+// Validate reports the first reason p cannot drive a manager. Every
+// field has a clause here or is noted as unbounded; the policy tests
+// hold a new field to the same.
+func (p Policy) Validate() error {
+	switch {
+	case !(p.Deviation > 0 && p.Deviation <= 10):
+		return fmt.Errorf("lifecycle: deviation must be in (0, 10], got %g", p.Deviation)
+	case !(p.Spread > 0 && p.Spread <= 1):
+		return fmt.Errorf("lifecycle: spread must be in (0, 1], got %g", p.Spread)
+	case !(p.Hysteresis > 0 && p.Hysteresis <= 1):
+		return fmt.Errorf("lifecycle: hysteresis must be in (0, 1], got %g", p.Hysteresis)
+	case !(p.MinInterval >= 0):
+		return fmt.Errorf("lifecycle: min interval must be >= 0, got %g", p.MinInterval)
+	case !(p.ReplanDeadline >= 0):
+		return fmt.Errorf("lifecycle: replan deadline must be >= 0, got %g", p.ReplanDeadline)
+	case !(p.RetryBase > 0):
+		return fmt.Errorf("lifecycle: retry base must be > 0, got %g", p.RetryBase)
+	case !(p.RetryMax >= p.RetryBase):
+		return fmt.Errorf("lifecycle: retry max %g below retry base %g", p.RetryMax, p.RetryBase)
+	case p.DegradedAfter == 0:
+		return fmt.Errorf("lifecycle: degraded-after must be nonzero (negative disables)")
+	}
+	// NoWarmStart is unbounded: both values are legal.
+	return nil
+}
+
+// Opts parameterizes a Manager: the replan Policy plus the values fixed
+// for the manager's lifetime.
+type Opts struct {
+	// Policy is the hot-patchable part (Manager.SetPolicy).
+	Policy
+	// CheckEvery is the monitor cadence in simulated seconds (default
+	// 900, the GÉANT trace interval).
+	CheckEvery float64
 	// ReplanLatency models the off-hot-path compute+deploy delay in
 	// simulated seconds before an inline replan's result is staged
 	// (default 60). Ignored under Background, where wall-clock compute
 	// time takes its place.
 	ReplanLatency float64
-	// ReplanDeadline is the simulated-seconds budget for one replan
-	// computation (0 = unbounded). The budget travels on the replan
-	// context (ReplanBudget) so inline replans — which compute
-	// instantly in wall time — can honor it; a background replan still
-	// in flight when the budget elapses on the simulated clock is
-	// canceled. A blown deadline is a failed cycle
-	// (Metrics.ReplanTimeouts).
-	ReplanDeadline float64
-	// RetryBase and RetryMax bound the decorrelated-jitter backoff
-	// between a failed cycle and its retry (defaults 60 s and
-	// MinInterval/2). Retries bypass the deviation trigger and
-	// MinInterval — they re-run an already-admitted cycle.
-	RetryBase float64
-	RetryMax  float64
-	// DegradedAfter is the number of consecutive failed cycles that
-	// trips the manager into StateDegraded, pinning the all-on element
-	// set until a cycle succeeds (default 3; negative disables
-	// degradation).
-	DegradedAfter int
 	// Seed drives the backoff jitter (default 1), keeping retry
 	// schedules — and therefore whole chaos replays — deterministic
 	// per seed.
@@ -247,15 +293,8 @@ type Opts struct {
 	DrainGrace float64
 	// Model prices elements for the power gate (default Cisco12000).
 	Model response.PowerModel
-	// MaxUtil is the utilization ceiling used by the power-gate
-	// evaluation (default 0.9, the controller's activation threshold).
-	MaxUtil float64
 	// NoPowerGate disables the strictly-worse-in-power rejection.
 	NoPowerGate bool
-	// NoWarmStart stops the manager from attaching the promoted plan
-	// to replan contexts as a warm-start seed (see WarmHint). Replans
-	// then always run cold, the pre-warm-start behavior.
-	NoWarmStart bool
 	// ArtifactFilter, when non-nil, transforms the serialized plan
 	// artifact between the staging write and the gate's re-read — the
 	// fault-injection hook (internal/faultinject corrupts or truncates
@@ -276,7 +315,14 @@ type Opts struct {
 	OnSwap func(old, new *sim.Flow)
 }
 
-func (o *Opts) defaults(c *te.Controller) {
+// powerGateMaxUtil is the utilization ceiling of the power-gate
+// evaluation: the controller's activation threshold.
+const powerGateMaxUtil = 0.9
+
+// WithDefaults returns o with every zero setting replaced by its
+// default (DrainGrace excepted: its default is the controller period,
+// which New fills).
+func (o Opts) WithDefaults() Opts {
 	if o.CheckEvery == 0 {
 		o.CheckEvery = 900
 	}
@@ -299,10 +345,7 @@ func (o *Opts) defaults(c *te.Controller) {
 		o.RetryBase = 60
 	}
 	if o.RetryMax == 0 {
-		o.RetryMax = o.MinInterval / 2
-	}
-	if o.RetryMax < o.RetryBase {
-		o.RetryMax = o.RetryBase
+		o.RetryMax = math.Max(o.MinInterval/2, o.RetryBase)
 	}
 	if o.DegradedAfter == 0 {
 		o.DegradedAfter = 3
@@ -310,15 +353,23 @@ func (o *Opts) defaults(c *te.Controller) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.DrainGrace == 0 {
-		o.DrainGrace = c.Period()
-	}
 	if o.Model == nil {
 		o.Model = power.Cisco12000{}
 	}
-	if o.MaxUtil == 0 {
-		o.MaxUtil = 0.9
+	return o
+}
+
+// Validate reports the first reason o (defaults applied) cannot drive a
+// manager: the Policy bounds plus the two lifetime values a bad input
+// could wedge the event loop with.
+func (o Opts) Validate() error {
+	switch {
+	case !(o.CheckEvery > 0):
+		return fmt.Errorf("lifecycle: check interval must be > 0, got %g", o.CheckEvery)
+	case !(o.ReplanLatency >= 0):
+		return fmt.Errorf("lifecycle: replan latency must be >= 0, got %g", o.ReplanLatency)
 	}
+	return o.Policy.Validate()
 }
 
 // Metrics are the manager's cumulative counters.
@@ -436,8 +487,19 @@ type replanOutcome struct {
 // replacements. Call Start once flows are managed and their initial
 // demands set — the live matrix at that point becomes the planned
 // baseline.
+//
+// New fills opts' zero settings with their defaults and panics if the
+// result fails Opts.Validate — a non-positive CheckEvery, say, would
+// otherwise spin the event loop forever. Callers passing outside input
+// run opts.WithDefaults().Validate() first and report the error.
 func New(s *sim.Simulator, c *te.Controller, current *response.Plan, replan ReplanFunc, opts Opts) *Manager {
-	opts.defaults(c)
+	opts = opts.WithDefaults()
+	if err := opts.Validate(); err != nil {
+		panic(err)
+	}
+	if opts.DrainGrace == 0 {
+		opts.DrainGrace = c.Period()
+	}
 	m := &Manager{
 		s:       s,
 		c:       c,
@@ -534,69 +596,8 @@ func (m *Manager) CurrentPlan() *response.Plan { return m.current }
 // never overwrites them.
 func (m *Manager) StagedArtifact() []byte { return m.artifact }
 
-// Policy is the hot-patchable subset of Opts: the deviation-trigger
-// thresholds, the replan deadline and the retry backoff. The controld
-// daemon's config-PATCH endpoint applies one to a running manager so a
-// tenant can tighten or relax its control loop without a restart (and
-// therefore without a traffic-disrupting re-registration).
-type Policy struct {
-	// Deviation, Spread and Hysteresis are the trigger thresholds
-	// (Opts fields of the same names).
-	Deviation  float64
-	Spread     float64
-	Hysteresis float64
-	// MinInterval paces deviation-triggered replans; ReplanDeadline is
-	// the per-replan compute budget (0 = unbounded).
-	MinInterval    float64
-	ReplanDeadline float64
-	// RetryBase and RetryMax bound the failed-cycle backoff.
-	RetryBase float64
-	RetryMax  float64
-	// DegradedAfter is the consecutive-failure count tripping the
-	// all-on fallback (negative disables degradation).
-	DegradedAfter int
-	// NoWarmStart disables warm-starting replans from the promoted
-	// plan (Opts field of the same name).
-	NoWarmStart bool
-}
-
-// Validate reports the first reason p cannot be applied.
-func (p Policy) Validate() error {
-	switch {
-	case !(p.Deviation > 0 && p.Deviation <= 10):
-		return fmt.Errorf("lifecycle: deviation must be in (0, 10], got %g", p.Deviation)
-	case !(p.Spread > 0 && p.Spread <= 1):
-		return fmt.Errorf("lifecycle: spread must be in (0, 1], got %g", p.Spread)
-	case !(p.Hysteresis > 0 && p.Hysteresis <= 1):
-		return fmt.Errorf("lifecycle: hysteresis must be in (0, 1], got %g", p.Hysteresis)
-	case p.MinInterval < 0:
-		return fmt.Errorf("lifecycle: min interval must be >= 0, got %g", p.MinInterval)
-	case p.ReplanDeadline < 0:
-		return fmt.Errorf("lifecycle: replan deadline must be >= 0, got %g", p.ReplanDeadline)
-	case p.RetryBase <= 0:
-		return fmt.Errorf("lifecycle: retry base must be > 0, got %g", p.RetryBase)
-	case p.RetryMax < p.RetryBase:
-		return fmt.Errorf("lifecycle: retry max %g below retry base %g", p.RetryMax, p.RetryBase)
-	case p.DegradedAfter == 0:
-		return fmt.Errorf("lifecycle: degraded-after must be nonzero (negative disables)")
-	}
-	return nil
-}
-
 // Policy returns the currently effective policy values.
-func (m *Manager) Policy() Policy {
-	return Policy{
-		Deviation:      m.opts.Deviation,
-		Spread:         m.opts.Spread,
-		Hysteresis:     m.opts.Hysteresis,
-		MinInterval:    m.opts.MinInterval,
-		ReplanDeadline: m.opts.ReplanDeadline,
-		RetryBase:      m.opts.RetryBase,
-		RetryMax:       m.opts.RetryMax,
-		DegradedAfter:  m.opts.DegradedAfter,
-		NoWarmStart:    m.opts.NoWarmStart,
-	}
-}
+func (m *Manager) Policy() Policy { return m.opts.Policy }
 
 // SetPolicy validates p and applies it to the running manager: the
 // next check, replan and retry use the new thresholds; nothing already
@@ -607,15 +608,7 @@ func (m *Manager) SetPolicy(p Policy) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	m.opts.Deviation = p.Deviation
-	m.opts.Spread = p.Spread
-	m.opts.Hysteresis = p.Hysteresis
-	m.opts.MinInterval = p.MinInterval
-	m.opts.ReplanDeadline = p.ReplanDeadline
-	m.opts.RetryBase = p.RetryBase
-	m.opts.RetryMax = p.RetryMax
-	m.opts.DegradedAfter = p.DegradedAfter
-	m.opts.NoWarmStart = p.NoWarmStart
+	m.opts.Policy = p
 	return nil
 }
 
@@ -1000,8 +993,8 @@ func (m *Manager) gateAndSwap(p *response.Plan) {
 	}
 	m.artifact = raw
 	if !m.opts.NoPowerGate {
-		cur := m.current.Evaluate(m.live, m.opts.Model, m.opts.MaxUtil)
-		cand := p.Evaluate(m.live, m.opts.Model, m.opts.MaxUtil)
+		cur := m.current.Evaluate(m.live, m.opts.Model, powerGateMaxUtil)
+		cand := p.Evaluate(m.live, m.opts.Model, powerGateMaxUtil)
 		if cand.Watts > cur.Watts+1e-6 {
 			// A worse plan is rejected, but the control plane proved
 			// it computes valid plans: the cycle counts as a success

@@ -107,7 +107,7 @@ func (r *rig) liveReplan() ReplanFunc {
 
 func TestNoTriggerWhenFlat(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
-	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{CheckEvery: 100, MinInterval: 100})
+	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{Policy: Policy{MinInterval: 100}, CheckEvery: 100})
 	m.Start()
 	r.s.Run(1000)
 	met := m.Metrics()
@@ -128,8 +128,8 @@ func TestNoTriggerWhenFlat(t *testing.T) {
 func TestTriggerAndUnchangedAdoptsBaseline(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		Deviation: 0.2, Spread: 0.25,
+		Policy:     Policy{MinInterval: 100, Deviation: 0.2, Spread: 0.25},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.s.Run(250)
@@ -155,7 +155,8 @@ func TestTriggerAndUnchangedAdoptsBaseline(t *testing.T) {
 func TestMinIntervalThrottles(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{
-		CheckEvery: 100, MinInterval: 5000, ReplanLatency: 10,
+		Policy:     Policy{MinInterval: 5000},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -184,7 +185,8 @@ func TestFailureRearmsAndRetries(t *testing.T) {
 		return nil, errors.New("solver blew up")
 	}
 	m := New(r.s, r.c, r.plan, failing, Opts{
-		CheckEvery: 100, MinInterval: 1000, ReplanLatency: 10,
+		Policy:     Policy{MinInterval: 1000},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -208,8 +210,8 @@ func TestFailureRearmsAndRetries(t *testing.T) {
 func TestHysteresisBlocksBandHovering(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		Deviation: 0.2, Spread: 0.4, Hysteresis: 0.5,
+		Policy:     Policy{MinInterval: 100, Deviation: 0.2, Spread: 0.4, Hysteresis: 0.5},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	// Fire once: 50% of flows deviate (spread 0.5 >= 0.4). During the
@@ -259,7 +261,8 @@ func TestHysteresisBlocksBandHovering(t *testing.T) {
 func TestSupersededReplanRestarts(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 300,
+		Policy:     Policy{MinInterval: 100},
+		CheckEvery: 100, ReplanLatency: 300,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -358,10 +361,9 @@ func TestPowerGate(t *testing.T) {
 	for i, f := range r.flows {
 		live.Add(f.O, f.D, r.base[i])
 	}
-	opts := Opts{}
-	opts.defaults(r.c)
-	w1 := r.plan.Evaluate(live, opts.Model, opts.MaxUtil).Watts
-	w2 := p2.Evaluate(live, opts.Model, opts.MaxUtil).Watts
+	opts := Opts{}.WithDefaults()
+	w1 := r.plan.Evaluate(live, opts.Model, powerGateMaxUtil).Watts
+	w2 := p2.Evaluate(live, opts.Model, powerGateMaxUtil).Watts
 	if math.Abs(w1-w2) < 1e-6 {
 		t.Skip("plans draw identical power; gate direction untestable")
 	}
@@ -443,7 +445,8 @@ func TestBackgroundReplanCancellation(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	m := New(r.s, r.c, r.plan, blocking, Opts{
-		CheckEvery: 100, MinInterval: 100, Background: true,
+		Policy:     Policy{MinInterval: 100},
+		CheckEvery: 100, Background: true,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -464,7 +467,8 @@ func TestBackgroundReplanCancellation(t *testing.T) {
 func TestBackgroundReplanCompletes(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{
-		CheckEvery: 100, MinInterval: 100, Background: true,
+		Policy:     Policy{MinInterval: 100},
+		CheckEvery: 100, Background: true,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 2)
@@ -530,7 +534,8 @@ func TestWarmHintReachesReplanAndConverges(t *testing.T) {
 			response.WithLowMatrix(live), response.WithWarmStartStrict(prev))
 	}
 	m := New(r.s, r.c, r.plan, replan, Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
+		Policy:     Policy{MinInterval: 100},
+		CheckEvery: 100, ReplanLatency: 10,
 		NoPowerGate: true,
 	})
 	m.Start()
@@ -563,8 +568,8 @@ func TestNoWarmStartSuppressesHint(t *testing.T) {
 		return r.plan, nil
 	}
 	m := New(r.s, r.c, r.plan, replan, Opts{
-		CheckEvery: 100, MinInterval: 100, ReplanLatency: 10,
-		NoWarmStart: true,
+		Policy:     Policy{MinInterval: 100, NoWarmStart: true},
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.s.Run(250)

@@ -19,7 +19,8 @@ import (
 func TestMetricsConcurrentSnapshot(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.liveReplan(), Opts{
-		CheckEvery: 100, MinInterval: 100, Background: true,
+		Policy:     Policy{MinInterval: 100},
+		CheckEvery: 100, Background: true,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 3) // drift well past the trigger
@@ -68,7 +69,7 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 // applies sane values to the live trigger machinery.
 func TestSetPolicyValidatesAndApplies(t *testing.T) {
 	r := newRig(t, 2, 1, 0.3)
-	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{CheckEvery: 100, MinInterval: 100})
+	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{Policy: Policy{MinInterval: 100}, CheckEvery: 100})
 	m.Start()
 
 	p := m.Policy()

@@ -9,19 +9,16 @@ import (
 type MIPOpts struct {
 	// MaxNodes caps explored nodes (default 100000).
 	MaxNodes int
-	// IntTol is the integrality tolerance (default 1e-6).
-	IntTol float64
-	// Gap stops early when (upper-lower)/|upper| falls below it
-	// (default 0: prove optimality).
-	Gap float64
 }
+
+// intTol is the integrality tolerance: a relaxation value closer than
+// this to an integer counts as integral. The search always runs to a
+// proven optimum (or MaxNodes) — there is no early-stop gap.
+const intTol = 1e-6
 
 func (o *MIPOpts) defaults() {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 100000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 }
 
@@ -99,7 +96,7 @@ func SolveMIP(p *Problem, opts MIPOpts) (MIPResult, error) {
 		}
 		// Find most fractional integer variable.
 		branch := VarID(-1)
-		worst := opts.IntTol
+		worst := intTol
 		for _, v := range intVars {
 			f := sol.X[v] - math.Floor(sol.X[v])
 			frac := math.Min(f, 1-f)
@@ -121,18 +118,6 @@ func SolveMIP(p *Problem, opts MIPOpts) (MIPResult, error) {
 		up := bbNode{lo: append([]float64(nil), node.lo...), hi: append([]float64(nil), node.hi...), bound: sol.Objective}
 		up.lo[branch] = floorV + 1
 		open = append(open, down, up)
-
-		if opts.Gap > 0 && !math.IsInf(incumbent, 1) {
-			lowest := sol.Objective
-			for _, n := range open {
-				if n.bound < lowest {
-					lowest = n.bound
-				}
-			}
-			if (incumbent-lowest)/math.Max(1e-9, math.Abs(incumbent)) < opts.Gap {
-				break
-			}
-		}
 	}
 	res.Proven = len(open) == 0 || allPruned(open, incumbent)
 	if math.IsInf(incumbent, 1) {

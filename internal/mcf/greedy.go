@@ -248,7 +248,7 @@ func (dr *deltaRouter) try(t *topo.Topology, active, trial *topo.ActiveSet,
 	ok := true
 	for _, di := range affected {
 		d := dr.sorted[di]
-		p, found := ws.ShortestPathLoad(t, g, d.O, d.D, dr.routing.Load, d.Rate, ro.LoadPenalty)
+		p, found := ws.ShortestPathLoad(t, g, d.O, d.D, dr.routing.Load, d.Rate, loadPenalty)
 		if !found || p.Empty() {
 			ok = false
 			break

@@ -22,11 +22,9 @@ type KShortOpts struct {
 	// MaxUtil caps per-arc utilization (default 1.0).
 	MaxUtil float64
 	// Paths, when non-nil, supplies precomputed candidates (keyed by
-	// [O,D]); otherwise Yen's algorithm runs per pair.
+	// [O,D]); otherwise Yen's algorithm runs per pair (callers that
+	// want a goal-directed engine precompute with CandidatePathsEngine).
 	Paths map[[2]topo.NodeID][]topo.Path
-	// Engine selects the path solver for the Yen runs (certified-exact;
-	// see spf.Engine).
-	Engine spf.Engine
 }
 
 // CandidatePaths precomputes the k shortest latency paths for every
@@ -70,7 +68,7 @@ func KShortestSubset(t *topo.Topology, demands []traffic.Demand, m power.Model,
 	}
 	cands := opts.Paths
 	if cands == nil {
-		cands = CandidatePathsEngine(t, demands, opts.K, opts.Engine)
+		cands = CandidatePaths(t, demands, opts.K)
 	}
 	active := topo.AllOff(t)
 	if opts.KeepOn != nil {

@@ -38,8 +38,6 @@ type flowKey struct {
 type MILPOpts struct {
 	// MaxUtil caps per-arc utilization (default 1.0).
 	MaxUtil float64
-	// KeepOn forces elements on (fixes X/Y to 1), the §4.2 carry-over.
-	KeepOn *topo.ActiveSet
 	// Relax builds the LP relaxation (no integrality marks), giving a
 	// power lower bound.
 	Relax bool
@@ -59,12 +57,8 @@ func BuildMILP(t *topo.Topology, demands []traffic.Demand, m power.Model, opts M
 		topo:    t,
 		demands: demands,
 	}
-	mkBin := func(name string, obj float64, forceOn bool) lp.VarID {
-		lo := 0.0
-		if forceOn {
-			lo = 1.0
-		}
-		v := p.AddVar(name, lo, 1, obj)
+	mkBin := func(name string, obj float64) lp.VarID {
+		v := p.AddVar(name, 0, 1, obj)
 		if !opts.Relax {
 			p.SetInteger(v)
 		}
@@ -74,12 +68,10 @@ func BuildMILP(t *topo.Topology, demands []traffic.Demand, m power.Model, opts M
 		if n.Kind == topo.KindHost {
 			continue
 		}
-		force := opts.KeepOn != nil && opts.KeepOn.Router[n.ID]
-		mi.X[n.ID] = mkBin(fmt.Sprintf("X_%s", n.Name), m.ChassisWatts(n), force)
+		mi.X[n.ID] = mkBin(fmt.Sprintf("X_%s", n.Name), m.ChassisWatts(n))
 	}
 	for _, l := range t.Links() {
-		force := opts.KeepOn != nil && opts.KeepOn.Link[l.ID]
-		mi.Y[l.ID] = mkBin(fmt.Sprintf("Y_%d", l.ID), power.LinkWatts(t, m, l), force)
+		mi.Y[l.ID] = mkBin(fmt.Sprintf("Y_%d", l.ID), power.LinkWatts(t, m, l))
 	}
 	// Flow variables (binary single-path routing).
 	for _, d := range demands {

@@ -142,35 +142,30 @@ func (r *Routing) Validate(t *topo.Topology, demands []traffic.Demand) error {
 
 // RouteOpts parameterizes the feasibility router.
 //
-// Weight and Avoid must be pure for the duration of one call: the
-// router evaluates them once per arc when it compiles a pass graph
+// Avoid must be pure for the duration of one call: the router
+// evaluates it once per arc when it compiles a pass graph
 // (spf.LoadGraph) and reuses the answers for every query of the call,
-// instead of re-asking on every relaxation. Active may grow between
+// instead of re-asking on every relaxation. The base arc weight is
+// latency. Active may grow between
 // the queries of a warm-start repair; the graph is recompiled there.
 type RouteOpts struct {
 	// Active restricts routing to powered elements (nil = all on).
 	Active *topo.ActiveSet
-	// Weight is the base arc weight (default latency).
-	Weight spf.WeightFunc
 	// Avoid excludes arcs (stress-factor exclusion, failures, ...).
 	Avoid func(a topo.Arc) bool
 	// MaxUtil caps per-arc utilization; effective capacity is
 	// MaxUtil × capacity (default 1.0). This realizes the paper's
 	// safety margin sm (§4.5).
 	MaxUtil float64
-	// LoadPenalty steers paths away from loaded arcs: the weight is
-	// multiplied by (1 + LoadPenalty·util). Default 3.
-	LoadPenalty float64
 }
 
+// loadPenalty steers paths away from loaded arcs: a query's arc weight
+// is multiplied by (1 + loadPenalty·util).
+const loadPenalty float64 = 3
+
 func (o *RouteOpts) defaults() {
-	// Weight stays nil here: spf.LoadGraph.Compile reads the default
-	// (latency) straight off the arc instead of calling a WeightFunc.
 	if o.MaxUtil == 0 {
 		o.MaxUtil = 1.0
-	}
-	if o.LoadPenalty == 0 {
-		o.LoadPenalty = 3
 	}
 }
 
@@ -180,7 +175,9 @@ func (o *RouteOpts) defaults() {
 // capacities. Defaults must already be applied.
 func (o RouteOpts) compile(t *topo.Topology, ws *spf.Workspace) *spf.LoadGraph {
 	g := ws.LoadGraph()
-	g.Compile(t, o.Active, o.Avoid, o.Weight, o.MaxUtil)
+	// A nil weight makes Compile read latency straight off the arc
+	// instead of calling a WeightFunc.
+	g.Compile(t, o.Active, o.Avoid, nil, o.MaxUtil)
 	return g
 }
 
@@ -217,7 +214,7 @@ func routeDemandsSorted(t *topo.Topology, sorted []traffic.Demand, opts RouteOpt
 	opts.defaults()
 	g := opts.compile(t, ws)
 	var lastErr error
-	for _, penalty := range penaltyLadder(opts.LoadPenalty) {
+	for _, penalty := range penaltyLadder(loadPenalty) {
 		r, err := routePass(t, sorted, g, penalty, ws)
 		if err == nil {
 			return r, nil

@@ -239,16 +239,16 @@ func (s *subsetSearch) repair(hint *topo.ActiveSet, ws *spf.Workspace) (*Routing
 			r.Paths[[2]topo.NodeID{d.O, d.D}] = topo.Path{}
 			continue
 		}
-		p, ok := ws.ShortestPathLoad(s.t, g, d.O, d.D, r.Load, d.Rate, ro.LoadPenalty)
+		p, ok := ws.ShortestPathLoad(s.t, g, d.O, d.D, r.Load, d.Rate, loadPenalty)
 		if !ok || p.Empty() {
 			// Disconnected (or saturated) on the hint: place on the full
 			// network and wake the path, so later searches see the
 			// expanded hint.
 			if full == nil {
 				full = new(spf.LoadGraph)
-				full.Compile(s.t, nil, ro.Avoid, ro.Weight, ro.MaxUtil)
+				full.Compile(s.t, nil, ro.Avoid, nil, ro.MaxUtil)
 			}
-			p, ok = ws.ShortestPathLoad(s.t, full, d.O, d.D, r.Load, d.Rate, ro.LoadPenalty)
+			p, ok = ws.ShortestPathLoad(s.t, full, d.O, d.D, r.Load, d.Rate, loadPenalty)
 			if !ok || p.Empty() {
 				return nil, false, fmt.Errorf("%w: %d->%d rate %.3g", ErrInfeasible, d.O, d.D, d.Rate)
 			}

@@ -49,9 +49,7 @@ func chaosConfig(inst *topogen.Instance, seed int64) Config {
 		RepairAfter: 900,
 		RepairEvery: 300,
 
-		ReplanDeviation: 0.2,
-		ReplanDeadline:  900,
-		DegradedAfter:   2,
+		Replan: lifecycle.Policy{Deviation: 0.2, ReplanDeadline: 900, DegradedAfter: 2},
 		Faults: faultinject.Config{
 			FailFirst: 2, ErrorRate: 0.5, PanicRate: 0.05,
 			SlowRate: 0.1, CorruptRate: 0.1, TruncateRate: 0.05,
@@ -63,7 +61,7 @@ func chaosConfig(inst *topogen.Instance, seed int64) Config {
 // worst case (every group link plus every possible cascade casualty on
 // the rolling schedule) plus the sleep/settle transient.
 func disruptionEnd(cfg Config, cuts int) float64 {
-	cascadeTail := float64(cfg.CascadeDepth) * cfg.CascadeDelay
+	cascadeTail := float64(cascadeDepth * cascadeDelay)
 	repairs := cfg.RepairAfter + float64(cuts)*cfg.RepairEvery
 	return cfg.StormAt + cascadeTail + repairs + 120
 }

@@ -9,6 +9,7 @@ package scenario
 import (
 	"testing"
 
+	"response/internal/lifecycle"
 	"response/internal/topogen"
 )
 
@@ -80,11 +81,10 @@ func TestGeneratedScenarioDeterminism(t *testing.T) {
 func TestGeneratedReplanScenario(t *testing.T) {
 	inst := generatedInstance(t, topogen.FamilyWaxman, 14, 6)
 	cfg := Config{
-		Seed:            4,
-		Flows:           200,
-		Duration:        12 * 3600,
-		ReplanDeviation: 0.1,
-		ReplanSpread:    0.25,
+		Seed:     4,
+		Flows:    200,
+		Duration: 12 * 3600,
+		Replan:   lifecycle.Policy{Deviation: 0.1, Spread: 0.25},
 	}
 	r, err := NewDiurnal(inst.Topo, inst.Endpoints, cfg)
 	if err != nil {

@@ -57,7 +57,7 @@ func TestReplanScenarioFingerprints(t *testing.T) {
 // min(pre-swap rate, current demand) for more than 2 consecutive
 // probe periods while a swap (plus its settling tail) is in progress.
 func TestReplanSwapDisruptionBound(t *testing.T) {
-	cfg := Config{Seed: 1, Flows: 400, Duration: 6 * 3600, ReplanDeviation: 0.2}
+	cfg := Config{Seed: 1, Flows: 400, Duration: 6 * 3600, Replan: lifecycle.Policy{Deviation: 0.2}}
 	r, err := NewGeantDiurnal(cfg)
 	if err != nil {
 		t.Fatal(err)

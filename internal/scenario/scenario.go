@@ -78,36 +78,27 @@ type Config struct {
 	// GÉANT presets derive geometric conduits when it is empty.
 	SRLGs      []topogen.SRLG
 	StormSRLGs int
-	// Cascading failure chains: for CascadeDepth rounds spaced
-	// CascadeDelay seconds after the storm (defaults 3 and 60), every
-	// surviving link at or above CascadeUtil utilization (default 0.9)
-	// fails with probability CascadeProb — overload propagates along
-	// the chain statistics instead of striking independently. The
-	// cascade draws its own rng stream from Seed, so enabling it never
-	// perturbs the pinned storm selection.
-	CascadeProb  float64
-	CascadeUtil  float64
-	CascadeDepth int
-	CascadeDelay float64
+	// CascadeProb > 0 enables cascading failure chains (cascadeDepth
+	// below): overload propagates along the chain statistics instead of
+	// striking independently. The cascade draws its own rng stream from
+	// Seed, so enabling it never perturbs the pinned storm selection.
+	CascadeProb float64
 
 	// Faults injects control-plane failures (the chaos preset): the
 	// replan path and the artifact staging path run through a
 	// faultinject.Injector with these rates. Requires the lifecycle
-	// manager (ReplanDeviation > 0) to have a control plane to break.
+	// manager (Replan.Deviation > 0) to have a control plane to break.
 	Faults faultinject.Config
 
-	// Lifecycle replanning (the replan scenario): when ReplanDeviation
+	// Lifecycle replanning (the replan scenario): when Replan.Deviation
 	// is > 0 a lifecycle.Manager monitors per-pair drift against the
 	// plan-time matrix and hot-swaps freshly replanned tables into the
 	// running controller mid-replay, with the deviation-triggered
-	// policy of paper §2/§3.
-	ReplanDeviation float64 // per-pair relative change counting as deviating
-	ReplanSpread    float64 // deviating-pair fraction that fires (default 0.25)
-	ReplanCheck     float64 // monitor cadence (default StepSec)
-	ReplanMinGap    float64 // min seconds between replans (default 2×StepSec)
-	ReplanLatency   float64 // modeled background compute+deploy (default 60)
-	ReplanDeadline  float64 // replan compute budget; blown = failed cycle (0 = unbounded)
-	DegradedAfter   int     // consecutive failed cycles before the all-on fallback (lifecycle default 3)
+	// policy of paper §2/§3. Zero Replan fields take the lifecycle
+	// defaults, except MinInterval, which defaults to 2×StepSec.
+	Replan        lifecycle.Policy
+	ReplanCheck   float64 // monitor cadence (default StepSec)
+	ReplanLatency float64 // modeled background compute+deploy (default 60)
 	// ObliviousReplan recomputes plans for the plan-time (ε) demand
 	// instead of the live matrix, so every successful cycle is a
 	// fingerprint-unchanged no-op. The chaos soak uses it to compare a
@@ -124,10 +115,6 @@ type Config struct {
 	// from the same subsystems — the /metrics Prometheus feed.
 	Metrics *metrics.Runtime
 
-	// Period is the controller probe period (default 60 s — at replay
-	// scale, probing at the paper's max-RTT period would dominate the
-	// event stream without changing the outcome).
-	Period float64
 	// FullAllocate runs the simulator's global reference allocator
 	// instead of the incremental one (cross-checking).
 	FullAllocate bool
@@ -149,18 +136,60 @@ func (c *Config) defaults() {
 	if c.PeakUtil == 0 {
 		c.PeakUtil = 0.6
 	}
-	if c.Period == 0 {
-		c.Period = 60
+}
+
+const (
+	// probePeriod is the controller probe period in seconds — at replay
+	// scale, probing at the paper's max-RTT period would dominate the
+	// event stream without changing the outcome.
+	probePeriod = 60
+	// The cascade chain statistics (PAPERS.md "Identify Critical
+	// Branches with Cascading Failure Chain Statistics…"): after a
+	// storm, cascadeDepth rounds cascadeDelay seconds apart, each
+	// rolling Config.CascadeProb for every surviving link at or above
+	// cascadeUtil utilization.
+	cascadeUtil  = 0.9
+	cascadeDepth = 3
+	cascadeDelay = 60
+)
+
+// validate refuses, after defaults, what would wedge the replay instead
+// of running it: a negative step (Advance books a demand step every
+// StepSec and would never reach the end of its window) and a replan
+// policy the lifecycle manager cannot run.
+func (c *Config) validate() error {
+	switch {
+	case !(c.StepSec > 0):
+		return fmt.Errorf("scenario: step must be > 0 s, got %g", c.StepSec)
+	case !(c.Duration > 0):
+		return fmt.Errorf("scenario: duration must be > 0 s, got %g", c.Duration)
+	case c.Replan.Deviation != 0:
+		return c.ReplanOpts().Validate()
 	}
-	if c.CascadeUtil == 0 {
-		c.CascadeUtil = 0.9
+	return nil
+}
+
+// ReplanOpts resolves the lifecycle settings the replay runs c with:
+// c.Replan, ReplanCheck and ReplanLatency over the step-derived
+// defaults (monitor every step, two steps between replans) over the
+// lifecycle defaults.
+func (c Config) ReplanOpts() lifecycle.Opts {
+	c.defaults()
+	opts := lifecycle.Opts{
+		Policy:        c.Replan,
+		CheckEvery:    c.ReplanCheck,
+		ReplanLatency: c.ReplanLatency,
+		Seed:          c.Seed,
+		Events:        c.Events,
+		Metrics:       c.Metrics,
 	}
-	if c.CascadeDepth == 0 {
-		c.CascadeDepth = 3
+	if opts.CheckEvery == 0 {
+		opts.CheckEvery = c.StepSec
 	}
-	if c.CascadeDelay == 0 {
-		c.CascadeDelay = 60
+	if opts.MinInterval == 0 {
+		opts.MinInterval = 2 * c.StepSec
 	}
+	return opts.WithDefaults()
 }
 
 // Result summarizes a scenario run.
@@ -321,8 +350,8 @@ func Run(name string, cfg Config) (Result, error) {
 	case "replan":
 		// Diurnal drift past the deviation threshold, background
 		// replan, table hot-swap mid-replay.
-		if cfg.ReplanDeviation == 0 {
-			cfg.ReplanDeviation = 0.2
+		if cfg.Replan.Deviation == 0 {
+			cfg.Replan.Deviation = 0.2
 		}
 	case "srlgstorm":
 		// Correlated cut: whole shared-risk groups fail together, then
@@ -334,11 +363,11 @@ func Run(name string, cfg Config) (Result, error) {
 		// manager replans through the injector while the network burns.
 		needSRLGs = true
 		stormDefaults(&cfg)
-		if cfg.ReplanDeviation == 0 {
-			cfg.ReplanDeviation = 0.2
+		if cfg.Replan.Deviation == 0 {
+			cfg.Replan.Deviation = 0.2
 		}
-		if cfg.ReplanDeadline == 0 {
-			cfg.ReplanDeadline = cfg.StepSec
+		if cfg.Replan.ReplanDeadline == 0 {
+			cfg.Replan.ReplanDeadline = cfg.StepSec
 		}
 		if !cfg.Faults.Any() {
 			cfg.Faults = faultinject.Config{
@@ -371,7 +400,7 @@ type Replay struct {
 	Sim  *sim.Simulator
 	Ctrl *te.Controller
 	// Mgr is the plan lifecycle manager (nil unless the replan
-	// scenario enabled it with Config.ReplanDeviation > 0).
+	// scenario enabled it with Config.Replan.Deviation > 0).
 	Mgr *lifecycle.Manager
 
 	cfg   Config
@@ -425,6 +454,9 @@ func NewGeantDiurnal(cfg Config) (*Replay, error) {
 // (the paper's §5.1 procedure); an explicit list is used as given.
 func NewDiurnal(g *topo.Topology, endpoints []topo.NodeID, cfg Config) (*Replay, error) {
 	cfg.defaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	if endpoints == nil {
@@ -462,7 +494,7 @@ func NewDiurnal(g *topo.Topology, endpoints []topo.NodeID, cfg Config) (*Replay,
 		simOpts.Model = model
 	}
 	s := sim.New(g, simOpts)
-	ctrl := te.NewController(s, te.Opts{Threshold: 0.9, Gamma: 0.5, Period: cfg.Period, Events: cfg.Events, Metrics: cfg.Metrics})
+	ctrl := te.NewController(s, te.Opts{Threshold: 0.9, Gamma: 0.5, Period: probePeriod, Events: cfg.Events, Metrics: cfg.Metrics})
 
 	r := &Replay{Topo: g, Sim: s, Ctrl: ctrl, cfg: cfg}
 	demands := peak.Demands()
@@ -527,7 +559,7 @@ func NewDiurnal(g *topo.Topology, endpoints []topo.NodeID, cfg Config) (*Replay,
 	}
 	r.applyDemands(0)
 	ctrl.Start()
-	if cfg.ReplanDeviation > 0 {
+	if cfg.Replan.Deviation > 0 {
 		r.idx = make(map[int]int, len(r.flows))
 		for i, f := range r.flows {
 			r.idx[f.ID] = i
@@ -552,28 +584,9 @@ func NewDiurnal(g *topo.Topology, endpoints []topo.NodeID, cfg Config) (*Replay,
 				return planner.Plan(ctx, g)
 			}
 		}
-		check := cfg.ReplanCheck
-		if check == 0 {
-			check = cfg.StepSec
-		}
-		minGap := cfg.ReplanMinGap
-		if minGap == 0 {
-			minGap = 2 * cfg.StepSec
-		}
-		opts := lifecycle.Opts{
-			CheckEvery:     check,
-			Deviation:      cfg.ReplanDeviation,
-			Spread:         cfg.ReplanSpread,
-			MinInterval:    minGap,
-			ReplanLatency:  cfg.ReplanLatency,
-			ReplanDeadline: cfg.ReplanDeadline,
-			DegradedAfter:  cfg.DegradedAfter,
-			Seed:           cfg.Seed,
-			Model:          model,
-			Events:         cfg.Events,
-			Metrics:        cfg.Metrics,
-			OnSwap:         r.flowSwapped,
-		}
+		opts := cfg.ReplanOpts()
+		opts.Model = model
+		opts.OnSwap = r.flowSwapped
 		if cfg.Faults.Any() {
 			fc := cfg.Faults
 			if fc.Seed == 0 {
@@ -727,8 +740,8 @@ func (r *Replay) repairLink(l topo.LinkID) {
 	r.repaired++
 }
 
-// scheduleCascades books the post-storm cascade rounds: CascadeDepth
-// rounds, CascadeDelay apart, each failing currently overloaded
+// scheduleCascades books the post-storm cascade rounds: cascadeDepth
+// rounds, cascadeDelay apart, each failing currently overloaded
 // survivors with probability CascadeProb from the cascade's own rng
 // stream. Rounds are scheduled from storm time, so the chain timing is
 // part of the deterministic replay.
@@ -737,8 +750,8 @@ func (r *Replay) scheduleCascades() {
 		return
 	}
 	now := r.Sim.Now()
-	for k := 1; k <= r.cfg.CascadeDepth; k++ {
-		r.Sim.Schedule(now+float64(k)*r.cfg.CascadeDelay, func() { r.cascadeRound() })
+	for k := 1; k <= cascadeDepth; k++ {
+		r.Sim.Schedule(now+float64(k)*cascadeDelay, func() { r.cascadeRound() })
 	}
 }
 
@@ -746,7 +759,7 @@ func (r *Replay) scheduleCascades() {
 // rolls the chain probability; casualties fail now and join the
 // rolling-repair schedule.
 func (r *Replay) cascadeRound() {
-	cands := r.Sim.OverloadedLinks(r.cfg.CascadeUtil)
+	cands := r.Sim.OverloadedLinks(cascadeUtil)
 	idx := 0
 	for _, l := range cands {
 		if r.cut[l] || r.cascadeRng.Float64() >= r.cfg.CascadeProb {

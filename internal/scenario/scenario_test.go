@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
+
+	"response/internal/lifecycle"
 )
 
 // Pinned behavioral fingerprints — the online analog of the planner's
@@ -150,5 +153,31 @@ func TestFlashCrowdRaisesLoad(t *testing.T) {
 func TestUnknownScenario(t *testing.T) {
 	if _, err := Run("nope", Config{}); err == nil {
 		t.Error("unknown scenario did not error")
+	}
+}
+
+// TestConfigRefusesWedgingSettings: a negative step made Advance book
+// demand steps backwards forever, and a replan policy the lifecycle
+// manager cannot run used to reach it unexamined. Both are refused
+// before anything is planned.
+func TestConfigRefusesWedgingSettings(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{StepSec: -5}, "step must be > 0"},
+		{Config{Duration: -1}, "duration must be > 0"},
+		{Config{Replan: lifecycle.Policy{Deviation: 0.2, Spread: 7}}, "spread must be in (0, 1]"},
+		{Config{Replan: lifecycle.Policy{Deviation: -1}}, "deviation must be in (0, 10]"},
+		{Config{Replan: lifecycle.Policy{Deviation: 0.2}, ReplanCheck: -1}, "check interval must be > 0"},
+	} {
+		if _, err := NewGeantDiurnal(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewGeantDiurnal(%+v) error = %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+	// Zero fields of Replan resolve step-derived, then lifecycle, defaults.
+	opts := Config{StepSec: 300, Replan: lifecycle.Policy{Deviation: 0.1}}.ReplanOpts()
+	if opts.CheckEvery != 300 || opts.MinInterval != 600 || opts.RetryMax != 300 || opts.Spread != 0.25 {
+		t.Errorf("ReplanOpts at step 300 = %+v", opts)
 	}
 }

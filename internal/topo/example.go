@@ -21,17 +21,15 @@ type ExampleOpts struct {
 	IncludeB bool
 	// Capacity per link in bits/s (default 10 Mbps).
 	Capacity float64
-	// Latency per link one-way in seconds (default 16.67 ms).
-	Latency float64
 }
+
+// exampleLatency is the one-way delay of every Figure 3 link, seconds.
+const exampleLatency = 0.01667
 
 // NewExample builds the Figure 3 topology.
 func NewExample(opts ExampleOpts) *Example {
 	if opts.Capacity == 0 {
 		opts.Capacity = 10 * Mbps
-	}
-	if opts.Latency == 0 {
-		opts.Latency = 0.01667
 	}
 	e := &Example{Topology: New("fig3-example")}
 	e.A = e.AddNode("A", KindRouter)
@@ -49,7 +47,7 @@ func NewExample(opts ExampleOpts) *Example {
 	e.J = e.AddNode("J", KindRouter)
 	e.K = e.AddNode("K", KindRouter)
 
-	add := func(a, b NodeID) { e.AddLink(a, b, opts.Capacity, opts.Latency) }
+	add := func(a, b NodeID) { e.AddLink(a, b, opts.Capacity, exampleLatency) }
 	add(e.A, e.D) // feeds the upper on-demand path
 	add(e.A, e.E)
 	if opts.IncludeB {

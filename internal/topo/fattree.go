@@ -21,14 +21,17 @@ type FatTree struct {
 	Hosts [][]NodeID // [pod][k/2 * k/2] hosts
 }
 
+const (
+	// fatTreeLinkCapacity is the bandwidth of every fat-tree link: the
+	// commodity-hardware assumption of the fat-tree paper.
+	fatTreeLinkCapacity = 1 * Gbps
+	// fatTreeLinkLatency is the per-hop one-way delay in seconds, a
+	// datacenter-scale value so that "a few RTTs" is sub-ms.
+	fatTreeLinkLatency = 25e-6
+)
+
 // FatTreeOpts tunes a fat-tree build.
 type FatTreeOpts struct {
-	// LinkCapacity is the bandwidth of every link (default 1 Gbps:
-	// the commodity-hardware assumption of the fat-tree paper).
-	LinkCapacity float64
-	// LinkLatency is the per-hop one-way delay in seconds (default
-	// 25 µs, a datacenter-scale value so that "a few RTTs" is sub-ms).
-	LinkLatency float64
 	// WithHosts controls whether end hosts are attached below edge
 	// switches. Path analysis at switch granularity can omit them.
 	WithHosts bool
@@ -38,12 +41,6 @@ type FatTreeOpts struct {
 func NewFatTree(k int, opts FatTreeOpts) (*FatTree, error) {
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("topo: fat-tree arity must be even and >= 2, got %d", k)
-	}
-	if opts.LinkCapacity == 0 {
-		opts.LinkCapacity = 1 * Gbps
-	}
-	if opts.LinkLatency == 0 {
-		opts.LinkLatency = 25e-6
 	}
 	half := k / 2
 	ft := &FatTree{
@@ -69,13 +66,13 @@ func NewFatTree(k int, opts FatTreeOpts) (*FatTree, error) {
 		// switch in its pod.
 		for _, e := range edge {
 			for _, a := range aggr {
-				ft.AddLink(e, a, opts.LinkCapacity, opts.LinkLatency)
+				ft.AddLink(e, a, fatTreeLinkCapacity, fatTreeLinkLatency)
 			}
 		}
 		// Uplinks: aggregation switch i serves core group i.
 		for i, a := range aggr {
 			for j := 0; j < half; j++ {
-				ft.AddLink(a, ft.Core[i*half+j], opts.LinkCapacity, opts.LinkLatency)
+				ft.AddLink(a, ft.Core[i*half+j], fatTreeLinkCapacity, fatTreeLinkLatency)
 			}
 		}
 		ft.Aggr = append(ft.Aggr, aggr)
@@ -85,7 +82,7 @@ func NewFatTree(k int, opts FatTreeOpts) (*FatTree, error) {
 			for ei, e := range edge {
 				for h := 0; h < half; h++ {
 					hid := ft.AddNode(fmt.Sprintf("host-%d-%d-%d", p, ei, h), KindHost)
-					ft.AddLink(e, hid, opts.LinkCapacity, opts.LinkLatency)
+					ft.AddLink(e, hid, fatTreeLinkCapacity, fatTreeLinkLatency)
 					hosts = append(hosts, hid)
 				}
 			}

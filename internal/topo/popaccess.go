@@ -11,11 +11,16 @@ type PopAccessOpts struct {
 	Cores            int // fully meshed core routers (default 4)
 	BackbonePerCore  int // backbone routers homed per core (default 2)
 	MetroPerBackbone int // metro routers homed per backbone (default 2)
-	CoreCapacity     float64
-	BackboneCapacity float64
-	MetroCapacity    float64
-	LinkLatency      float64 // one-way delay per link, seconds
 }
+
+// The PoP-access link plant (§5.1): capacity thins a level at a time
+// from the core mesh down, and every hop is national-scale.
+const (
+	popCoreCapacity     = 10 * Gbps
+	popBackboneCapacity = 2.5 * Gbps
+	popMetroCapacity    = 1 * Gbps
+	popLinkLatency      = 0.002 // one-way seconds per link
+)
 
 func (o *PopAccessOpts) defaults() {
 	if o.Cores == 0 {
@@ -26,18 +31,6 @@ func (o *PopAccessOpts) defaults() {
 	}
 	if o.MetroPerBackbone == 0 {
 		o.MetroPerBackbone = 2
-	}
-	if o.CoreCapacity == 0 {
-		o.CoreCapacity = 10 * Gbps
-	}
-	if o.BackboneCapacity == 0 {
-		o.BackboneCapacity = 2.5 * Gbps
-	}
-	if o.MetroCapacity == 0 {
-		o.MetroCapacity = 1 * Gbps
-	}
-	if o.LinkLatency == 0 {
-		o.LinkLatency = 0.002 // 2 ms: national-scale hops
 	}
 }
 
@@ -60,7 +53,7 @@ func NewPopAccess(opts PopAccessOpts) *PopAccess {
 	}
 	for i := 0; i < opts.Cores; i++ {
 		for j := i + 1; j < opts.Cores; j++ {
-			p.AddLink(p.Core[i], p.Core[j], opts.CoreCapacity, opts.LinkLatency)
+			p.AddLink(p.Core[i], p.Core[j], popCoreCapacity, popLinkLatency)
 		}
 	}
 	nb := opts.Cores * opts.BackbonePerCore
@@ -70,8 +63,8 @@ func NewPopAccess(opts PopAccessOpts) *PopAccess {
 		// Dual-home to the "parent" core and the next one around the ring.
 		c0 := p.Core[i%opts.Cores]
 		c1 := p.Core[(i+1)%opts.Cores]
-		p.AddLink(b, c0, opts.BackboneCapacity, opts.LinkLatency)
-		p.AddLink(b, c1, opts.BackboneCapacity, opts.LinkLatency)
+		p.AddLink(b, c0, popBackboneCapacity, popLinkLatency)
+		p.AddLink(b, c1, popBackboneCapacity, popLinkLatency)
 	}
 	nm := nb * opts.MetroPerBackbone
 	for i := 0; i < nm; i++ {
@@ -79,8 +72,8 @@ func NewPopAccess(opts PopAccessOpts) *PopAccess {
 		p.Metro = append(p.Metro, m)
 		b0 := p.Backbone[i%nb]
 		b1 := p.Backbone[(i+1)%nb]
-		p.AddLink(m, b0, opts.MetroCapacity, opts.LinkLatency)
-		p.AddLink(m, b1, opts.MetroCapacity, opts.LinkLatency)
+		p.AddLink(m, b0, popMetroCapacity, popLinkLatency)
+		p.AddLink(m, b1, popMetroCapacity, popLinkLatency)
 	}
 	return p
 }

@@ -37,12 +37,12 @@ type SineOpts struct {
 	PeriodSec float64
 	// Steps is the number of matrices per period (default 40).
 	Steps int
-	// Periods is the number of full cycles (default 1).
-	Periods int
-	// Floor is the minimum rate as a fraction of peak (default 0.05;
-	// exactly zero flows would leave nothing to route at the valley).
-	Floor float64
 }
+
+// sineFloor is the valley rate as a fraction of peak: exactly zero
+// flows would leave nothing to route there. The series is one full
+// cycle.
+const sineFloor float64 = 0.05
 
 func (o *SineOpts) defaults() {
 	if o.PeakRate == 0 {
@@ -53,12 +53,6 @@ func (o *SineOpts) defaults() {
 	}
 	if o.Steps == 0 {
 		o.Steps = 40
-	}
-	if o.Periods == 0 {
-		o.Periods = 1
-	}
-	if o.Floor == 0 {
-		o.Floor = 0.05
 	}
 }
 
@@ -93,13 +87,12 @@ func SinePairs(ft *topo.FatTree, loc Locality) [][2]topo.NodeID {
 func SineSeries(ft *topo.FatTree, opts SineOpts) *Series {
 	opts.defaults()
 	pairs := SinePairs(ft, opts.Locality)
-	n := opts.Steps * opts.Periods
 	s := &Series{IntervalSec: opts.PeriodSec / float64(opts.Steps)}
-	for i := 0; i < n; i++ {
+	for i := 0; i < opts.Steps; i++ {
 		t := float64(i) * s.IntervalSec
 		// Raised sine starting at the floor, peaking mid-period.
 		x := 0.5 * (1 - math.Cos(2*math.Pi*t/opts.PeriodSec))
-		rate := opts.PeakRate * (opts.Floor + (1-opts.Floor)*x)
+		rate := opts.PeakRate * (sineFloor + (1-sineFloor)*x)
 		m := NewMatrix()
 		for _, p := range pairs {
 			m.Set(p[0], p[1], rate)

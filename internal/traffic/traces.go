@@ -105,17 +105,21 @@ func DiurnalSeries(base *Matrix, opts DiurnalOpts) *Series {
 type VolatileOpts struct {
 	Days        int     // default 8
 	IntervalSec float64 // default 300 (5 minutes)
-	// Sigma is the innovation sigma of the per-flow multiplicative
-	// walk (default 0.33; the median |change| of exp(N(0,σ)) with
-	// mean reversion lands near the paper's 20 % figure).
-	Sigma float64
-	// MeanReversion pulls flows back toward their diurnal mean
-	// (default 0.5: datacenter traffic decorrelates fast).
-	MeanReversion float64
-	// Diurnal applies a mild day/night swing (default on with floor 0.5).
-	NightFloor float64
-	Seed       int64
+	Seed        int64
 }
+
+// The Figure 1a calibration of the volatile trace.
+const (
+	// volatileSigma is the sigma of the per-flow multiplicative walk:
+	// the median |change| of exp(N(0,σ)) with mean reversion lands
+	// near the paper's 20 % figure.
+	volatileSigma float64 = 0.33
+	// volatileMeanReversion pulls flows back toward their diurnal
+	// mean: datacenter traffic decorrelates fast.
+	volatileMeanReversion float64 = 0.5
+	// volatileNightFloor is the trough of the mild day/night swing.
+	volatileNightFloor float64 = 0.5
+)
 
 func (o *VolatileOpts) defaults() {
 	if o.Days == 0 {
@@ -123,15 +127,6 @@ func (o *VolatileOpts) defaults() {
 	}
 	if o.IntervalSec == 0 {
 		o.IntervalSec = 300
-	}
-	if o.Sigma == 0 {
-		o.Sigma = 0.33
-	}
-	if o.MeanReversion == 0 {
-		o.MeanReversion = 0.5
-	}
-	if o.NightFloor == 0 {
-		o.NightFloor = 0.5
 	}
 }
 
@@ -145,18 +140,18 @@ func VolatileSeries(base *Matrix, opts VolatileOpts) *Series {
 	n := int(float64(opts.Days) * 24 * 3600 / opts.IntervalSec)
 	s := &Series{IntervalSec: opts.IntervalSec}
 	state := make([]float64, len(demands))
-	innovSigma := opts.Sigma * math.Sqrt(1-opts.MeanReversion*opts.MeanReversion)
+	innovSigma := volatileSigma * math.Sqrt(1-volatileMeanReversion*volatileMeanReversion)
 	for i := range state {
-		state[i] = rng.NormFloat64() * opts.Sigma
+		state[i] = rng.NormFloat64() * volatileSigma
 	}
 	diurnal := DiurnalOpts{
 		Days:        opts.Days,
 		IntervalSec: opts.IntervalSec,
-		NightFloor:  opts.NightFloor,
+		NightFloor:  volatileNightFloor,
 		// Datacenters barely slow down on weekends.
 		WeekendFactor: 0.95,
-		NoiseSigma:    opts.Sigma,
-		MeanReversion: opts.MeanReversion,
+		NoiseSigma:    volatileSigma,
+		MeanReversion: volatileMeanReversion,
 		PeakHour:      15,
 	}
 	for step := 0; step < n; step++ {
@@ -164,7 +159,7 @@ func VolatileSeries(base *Matrix, opts VolatileOpts) *Series {
 		f := diurnal.DiurnalFactor(t)
 		m := NewMatrix()
 		for i, d := range demands {
-			state[i] = opts.MeanReversion*state[i] + rng.NormFloat64()*innovSigma
+			state[i] = volatileMeanReversion*state[i] + rng.NormFloat64()*innovSigma
 			m.Set(d.O, d.D, d.Rate*f*math.Exp(state[i]))
 		}
 		s.Matrices = append(s.Matrices, m)

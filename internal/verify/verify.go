@@ -32,9 +32,6 @@ type Opts struct {
 	// Model prices elements for the power invariants (default
 	// Cisco12000, the planner's default).
 	Model power.Model
-	// MaxUtil is the utilization ceiling the plan was computed under
-	// (default 1.0).
-	MaxUtil float64
 	// Beta, when > 0, additionally checks the REsPoNse-lat delay bound:
 	// every always-on path must satisfy delay ≤ (1+Beta) × the
 	// OSPF-InvCap path delay.
@@ -47,16 +44,22 @@ type Opts struct {
 	TM *traffic.Matrix
 	// NetScale, when > 0 alongside TM, is the largest multiple of TM
 	// routable on the full network (mcf.MaxFeasibleScale); the tables
-	// must then retain at least MinShare of it — fixed precomputed
+	// must then retain at least minShare of it — fixed precomputed
 	// paths may not reach the multipath optimum, but they must never be
 	// capacity-starved.
 	NetScale float64
-	// MinShare is the required TableScale/NetScale floor (default 0.1;
-	// the generated corpus measures 0.13–1.0 across families, tori and
-	// large Waxman meshes at the low end where one thin link on a fixed
-	// path caps the global multiplier).
-	MinShare float64
 }
+
+const (
+	// checkMaxUtil is the utilization ceiling plans are checked under: the
+	// planner's default, every arc usable to capacity.
+	checkMaxUtil float64 = 1.0
+	// minShare is the required TableScale/NetScale floor: the generated
+	// corpus measures 0.13–1.0 across families, tori and large Waxman
+	// meshes at the low end where one thin link on a fixed path caps
+	// the global multiplier.
+	minShare float64 = 0.1
+)
 
 // Violation is one invariant breach.
 type Violation struct {
@@ -113,9 +116,6 @@ const eps = 1e-9
 func CheckTables(t *topo.Topology, tb *core.Tables, opts Opts) *Report {
 	if opts.Model == nil {
 		opts.Model = power.Cisco12000{}
-	}
-	if opts.MaxUtil <= 0 {
-		opts.MaxUtil = 1.0
 	}
 	r := &Report{Name: t.Name}
 
@@ -265,7 +265,7 @@ func checkPower(t *topo.Topology, tb *core.Tables, opts Opts, r *Report) {
 	if opts.TM == nil {
 		return
 	}
-	ev := tb.Evaluate(opts.TM, opts.Model, opts.MaxUtil)
+	ev := tb.Evaluate(opts.TM, opts.Model, checkMaxUtil)
 	if ev.Watts > full+eps {
 		r.addf("power", "evaluated placement draws %.1f W > all-on %.1f W", ev.Watts, full)
 	}
@@ -359,13 +359,9 @@ func TableScale(t *topo.Topology, tb *core.Tables, base *traffic.Matrix,
 // on-demand tables retain capacity), and at that operating point the
 // placement must respect the ceiling on every arc.
 func checkCapacity(t *topo.Topology, tb *core.Tables, opts Opts, r *Report) {
-	scale := TableScale(t, tb, opts.TM, opts.Model, opts.MaxUtil)
+	scale := TableScale(t, tb, opts.TM, opts.Model, checkMaxUtil)
 	r.TableScale = scale
 	if opts.NetScale > 0 {
-		minShare := opts.MinShare
-		if minShare <= 0 {
-			minShare = 0.1
-		}
 		if scale < minShare*opts.NetScale {
 			r.addf("capacity", "tables absorb only %.3g of the network's %.3g routable scale (share %.3f < %.2f)",
 				scale, opts.NetScale, scale/opts.NetScale, minShare)
@@ -377,15 +373,15 @@ func checkCapacity(t *topo.Topology, tb *core.Tables, opts Opts, r *Report) {
 		}
 		return
 	}
-	ev := tb.Evaluate(opts.TM.Scale(scale), opts.Model, opts.MaxUtil)
+	ev := tb.Evaluate(opts.TM.Scale(scale), opts.Model, checkMaxUtil)
 	if ev.Overloaded > 0 {
 		r.addf("capacity", "%d of %d demands overflow the tables at their own supported scale %.3g",
 			ev.Overloaded, opts.TM.Len(), scale)
 		return
 	}
-	if ev.MaxUtil > opts.MaxUtil+eps {
+	if ev.MaxUtil > checkMaxUtil+eps {
 		r.addf("capacity", "placement reaches %.4f utilization > ceiling %.4f",
-			ev.MaxUtil, opts.MaxUtil)
+			ev.MaxUtil, checkMaxUtil)
 	}
 	// Independent re-derivation: accumulate per-arc load from the raw
 	// per-level placement and compare against capacities directly.
@@ -403,7 +399,7 @@ func checkCapacity(t *topo.Topology, tb *core.Tables, opts Opts, r *Report) {
 		}
 	}
 	for i, l := range load {
-		capBits := t.Arc(topo.ArcID(i)).Capacity * opts.MaxUtil
+		capBits := t.Arc(topo.ArcID(i)).Capacity * checkMaxUtil
 		if l > capBits*(1+1e-6) {
 			r.addf("capacity", "arc %d carries %.3g bps > %.3g allowed", i, l, capBits)
 		}
