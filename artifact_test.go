@@ -14,8 +14,8 @@ import (
 	"testing"
 
 	"response"
+	"response/internal/topogen"
 	"response/simulate"
-	"response/topogen"
 	"response/topology"
 )
 

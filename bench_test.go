@@ -249,7 +249,7 @@ func BenchmarkStressFactorSensitivity(b *testing.B) {
 func BenchmarkTEAgentOverhead(b *testing.B) {
 	ex := topo.NewExample(topo.ExampleOpts{})
 	s := sim.New(ex.Topology, sim.Opts{Model: power.Cisco12000{}})
-	ctrl := te.NewController(s, te.Opts{NoProbeDelay: true})
+	ctrl := te.NewController(s, te.Opts{})
 	fa, err := s.AddFlow(ex.A, ex.K, 2.5*topo.Mbps,
 		[]topo.Path{ex.MiddlePath(ex.A), ex.UpperPath()})
 	if err != nil {

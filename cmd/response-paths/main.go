@@ -158,7 +158,7 @@ func printPlan(t *topology.Topology, plan *response.Plan, showPairs int) {
 func buildTopo(name string) (*topology.Topology, error) {
 	switch name {
 	case "pop-access":
-		return topology.NewPopAccess(topology.PopAccessOpts{}).Topology, nil
+		return topology.NewPopAccess().Topology, nil
 	case "fattree4":
 		ft, err := topology.NewFatTree(4, topology.FatTreeOpts{WithHosts: true})
 		if err != nil {

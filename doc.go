@@ -69,14 +69,15 @@
 //
 // # Plan lifecycle
 //
-// Plans are recomputed rarely but not never: response/lifecycle closes
-// the loop online. A lifecycle.Manager monitors live demand drift
-// against the planned matrix with the paper's §3 deviation statistic,
-// replans off the hot path through the context-aware Planner when the
-// configured trigger policy fires (lifecycle.Policy: relative-deviation
-// threshold, hysteresis, minimum interval — one struct that Opts
-// embeds, SetPolicy hot-patches and the daemon speaks on the wire,
-// validated wherever it enters), stages the result as a versioned plan
+// Plans are recomputed rarely but not never: the lifecycle manager
+// behind simulate's scenarios and controld's tenants closes the loop
+// online. It monitors live demand drift against the planned matrix with
+// the paper's §3 deviation statistic, replans through the
+// context-aware Planner — inline on the simulated clock, so a replay is
+// pinned by its seed — when the configured trigger policy fires (a
+// relative-deviation threshold, hysteresis and minimum interval: one
+// policy struct the daemon speaks on the wire, validated wherever it
+// enters), stages the result as a versioned plan
 // artifact behind fingerprint and power gates, and hot-swaps the
 // tables into a running simulate.Controller with zero traffic
 // disruption — new levels install as fresh subflows, demand hands over
@@ -92,7 +93,7 @@
 // outcome, retries with decorrelated-jitter backoff, and after
 // DegradedAfter consecutive failed cycles pins the all-on table — the
 // paper's always-correct fallback made an explicit Degraded state,
-// exited on the first successful cycle. On the network side, topogen
+// exited on the first successful cycle. On the network side, generated
 // instances carry derived shared-risk link groups (pod fabrics, PoP
 // bundles, geometric conduits) and the scenario catalog cuts whole
 // groups with statistics-driven cascading failures behind them. See
@@ -123,26 +124,23 @@
 // event→link incidence, seeded with utilization at failure time), and
 // only then fetch raw events. The same queries serve over HTTP from
 // controld and from the response-analyze trace subcommand. Runtime
-// counters (response/metrics) meter the TE, simulator and lifecycle
-// hot paths with zero-allocation atomics — nil disables metering —
-// and render in Prometheus text format, per tenant, on controld's
-// /metrics. See DESIGN.md §11.
+// counters meter the TE and simulator hot paths with zero-allocation
+// atomics — nil disables metering — carry the lifecycle manager's
+// published counters, and render in Prometheus text format, per
+// tenant, on controld's /metrics. See DESIGN.md §11.
 //
 // # Companion packages
 //
 //   - response/topology:      network model and builders (fat-tree, GÉANT, ...)
-//   - response/topogen:       seed-deterministic synthetic topology/workload generators
 //   - response/trafficmatrix: demand matrices, gravity model, synthetic traces
 //   - response/simulate:      discrete-event simulator + REsPoNseTE controller
-//   - response/lifecycle:     deviation-triggered replanning + table hot-swap
 //   - response/faultinject:   seed-deterministic control-plane fault injection
 //   - response/controld:      multi-tenant planning-as-a-service daemon
 //   - response/tracestore:    indexed trace store + energy-critical-path queries
-//   - response/metrics:       zero-allocation runtime counters + Prometheus text
 //   - response/experiments:   one entry point per reproduced paper figure
 //
-// Correctness is property-based, not only pinned: response/topogen
-// generates structurally diverse networks (fat-tree, Waxman, ring,
+// Correctness is property-based, not only pinned: an internal generator
+// produces structurally diverse networks (fat-tree, Waxman, ring,
 // torus, two-tier ISP) with matched gravity workloads, and the
 // internal verification harness checks planner and runtime invariants
 // — flow conservation, capacity retention, delay bounds, always-on

@@ -14,15 +14,6 @@ import (
 	"response/internal/traffic"
 )
 
-// DeviationCCDF returns the CCDF of per-interval relative per-flow
-// demand changes (percent) of a series: Figure 1a's "traffic deviation
-// in 5-min period (out)" — each flow dominates the outbound traffic of
-// its host link in a datacenter, so per-flow deviation is the link
-// statistic.
-func DeviationCCDF(s *traffic.Series) []stats.Point {
-	return stats.CCDF(traffic.PerFlowChanges(s))
-}
-
 // Replay is the result of recomputing the minimal network subset for
 // every (sub-sampled) interval of a trace — what the state-of-the-art
 // approaches the paper critiques would do online.
@@ -242,29 +233,4 @@ func (r *Replay) PathCoverage(maxX int) Coverage {
 		cov.MeanTopX[x] = stats.Mean(cov.PerPairTopX[x])
 	}
 	return cov
-}
-
-// DistinctPathsPerPair returns the number of distinct paths each pair
-// used across the replay (CDF input for deeper analysis).
-func (r *Replay) DistinctPathsPerPair() []float64 {
-	seen := map[[2]topo.NodeID]map[string]bool{}
-	for _, paths := range r.Paths {
-		for k, p := range paths {
-			if p.Empty() {
-				continue
-			}
-			m := seen[k]
-			if m == nil {
-				m = map[string]bool{}
-				seen[k] = m
-			}
-			m[p.Key()] = true
-		}
-	}
-	out := make([]float64, 0, len(seen))
-	for _, m := range seen {
-		out = append(out, float64(len(m)))
-	}
-	sort.Float64s(out)
-	return out
 }

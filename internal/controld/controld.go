@@ -123,10 +123,6 @@ func New(opts Opts) *Server {
 	return s
 }
 
-// TraceStore exposes the embedded trace store (the …/trace/* query
-// backend) for in-process callers and tests.
-func (s *Server) TraceStore() *tracestore.Store { return s.store }
-
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 

@@ -41,9 +41,9 @@ func TestTraceQueriesAndMetrics(t *testing.T) {
 	// catch up with both tenants' windows.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st := s.TraceStore().Stats()
+		st := s.store.Stats()
 		if st.Ingested > 0 && st.Tenants >= 2 &&
-			len(s.TraceStore().Windows(tracestore.WindowQuery{Tenant: "alpha"})) > 0 {
+			len(s.store.Windows(tracestore.WindowQuery{Tenant: "alpha"})) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

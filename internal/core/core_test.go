@@ -40,19 +40,28 @@ func TestStressFactorCountsFlowsPerCapacity(t *testing.T) {
 	if sf[0] != 2 || sf[1] != 0.5 {
 		t.Errorf("sf = %v", sf)
 	}
-	top := TopStressed(sf, 0.5)
-	if len(top) != 1 || !top[0] {
-		t.Errorf("top = %v, want {0}", top)
+	if top := rankByStress(sf); top[0] != 0 {
+		t.Errorf("stress ranking = %v, want link 0 first", top)
 	}
 }
 
 func TestTopStressedNeverPicksIdleLinks(t *testing.T) {
+	// A four-link ring: no single exclusion disconnects it, so only the
+	// idle-link rule can keep a link in.
+	tp := topo.New("ring4")
+	var n [4]topo.NodeID
+	for i := range n {
+		n[i] = tp.AddNode(string(rune('A'+i)), topo.KindRouter)
+	}
+	for i := range n {
+		tp.AddLink(n[i], n[(i+1)%4], topo.Gbps, 0.001)
+	}
 	sf := []float64{0, 0, 3, 0}
-	top := TopStressed(sf, 1.0)
+	top := ExcludableStressed(tp, sf, 1.0, nil)
 	if len(top) != 1 || !top[2] {
 		t.Errorf("top = %v", top)
 	}
-	if len(TopStressed(sf, 0)) != 0 {
+	if len(ExcludableStressed(tp, sf, 0, nil)) != 0 {
 		t.Error("zero fraction should exclude nothing")
 	}
 }
@@ -153,7 +162,7 @@ func TestSingleLinkFailureSurvivable(t *testing.T) {
 				if p.Empty() {
 					continue
 				}
-				if !p.UsesLink(g, l.ID) {
+				if p.SharedLinks(g, topo.Path{Arcs: []topo.ArcID{l.AB}}) == 0 {
 					allHit = false
 					break
 				}

@@ -42,34 +42,13 @@ func StressFactorPaths(t *topo.Topology, paths []topo.Path) []float64 {
 	return sf
 }
 
-// TopStressed returns the IDs of the ⌈fraction·|links|⌉ links with the
-// highest stress factor (ties broken by link ID for determinism).
-// The paper's sensitivity analysis lands on fraction = 0.2.
-func TopStressed(sf []float64, fraction float64) map[topo.LinkID]bool {
-	if fraction <= 0 {
-		return map[topo.LinkID]bool{}
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	ids := rankByStress(sf)
-	n := int(float64(len(sf))*fraction + 0.9999)
-	if n > len(ids) {
-		n = len(ids)
-	}
-	out := make(map[topo.LinkID]bool, n)
-	for _, id := range ids[:n] {
-		if sf[id] > 0 { // never exclude links that carry nothing
-			out[topo.LinkID(id)] = true
-		}
-	}
-	return out
-}
-
-// ExcludableStressed is TopStressed with a connectivity guard: links
-// are taken in stress order but a link is skipped when excluding it
-// (on top of already-excluded ones) would disconnect the non-host
-// topology. Degree-1 spurs — which score high on flows/capacity but
+// ExcludableStressed returns up to ⌈fraction·|links|⌉ links of highest
+// stress factor (ties broken by link ID for determinism; the paper's
+// sensitivity analysis lands on fraction = 0.2), with a connectivity
+// guard: links are taken in stress order but a link is skipped when
+// excluding it (on top of already-excluded ones) would disconnect the
+// non-host topology, and a link that carries nothing is never
+// excluded. Degree-1 spurs — which score high on flows/capacity but
 // are the only way to reach their node — therefore stay usable, which
 // is what any operator deploying the §4.2 exclusion would require.
 func ExcludableStressed(t *topo.Topology, sf []float64, fraction float64,

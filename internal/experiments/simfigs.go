@@ -115,7 +115,7 @@ type Fig8 struct {
 // demands step every 30 s between util-50 and util-100 of the metro
 // gravity load; wake-up takes 5 s.
 func RunFig8a() (Fig8, error) {
-	pa := topo.NewPopAccess(topo.PopAccessOpts{})
+	pa := topo.NewPopAccess()
 	return runFig8(pa.Topology, pa.Metro, "PoP-access", 300)
 }
 
@@ -293,7 +293,7 @@ func RunFig9() (Fig9, error) {
 	}
 	// Ambient load: gravity traffic at roughly half the network's
 	// capacity, routed per-variant the same way the application is.
-	bgBase := traffic.Gravity(ab, traffic.GravityOpts{TotalRate: 1, Seed: 17})
+	bgBase := traffic.Gravity(ab, traffic.GravityOpts{TotalRate: 1})
 	bgScale := mcf.MaxFeasibleScale(ab, bgBase, mcf.RouteOpts{}, 0.05)
 	bgTM := bgBase.Scale(bgScale * 0.5)
 

@@ -14,12 +14,11 @@
 // flag drive the full monitor→replan→stage→swap loop through it.
 //
 // Determinism: every fault decision is drawn from one rand.Rand seeded
-// by Config.Seed, in call order. Under the lifecycle manager's default
-// inline-replan mode every call happens on the simulator's event loop,
-// so an identical (scenario seed, fault config) reproduces the exact
-// fault sequence. The injector is nevertheless safe for concurrent use
-// (a mutex serializes draws) because background replans run in their
-// own goroutine.
+// by Config.Seed, in call order. The lifecycle manager replans inline,
+// so every call happens on the simulator's event loop and an identical
+// (scenario seed, fault config) reproduces the exact fault sequence.
+// The injector is nevertheless safe for concurrent use (a mutex
+// serializes draws and counts).
 package faultinject
 
 import (

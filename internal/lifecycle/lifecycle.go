@@ -36,11 +36,12 @@
 //	  │                   │              ▼
 //	  └──────replan succeeds────── Degraded (all-on pinned)
 //
-// Replanning runs the planner (in a goroutine under Background, with
-// cancellation; otherwise inline with a modeled ReplanLatency before
-// staging). A panicking ReplanFunc is recovered and counted as a
-// failed cycle; a replan that outlives ReplanDeadline is abandoned as
-// a timeout. Staging re-checks drift against the trigger snapshot — a
+// Replanning runs the planner inline on the simulator's event loop and
+// stages its result after a modeled ReplanLatency, so a replay is
+// pinned by its seed. A panicking ReplanFunc is recovered and counted
+// as a failed cycle; one that reports overrunning its ReplanDeadline
+// budget (an error wrapping context.DeadlineExceeded) is counted as a
+// timeout. Staging re-checks drift against the trigger snapshot — a
 // result the demand has already moved past is abandoned (Superseded)
 // and the replan restarts from a fresh snapshot. A staged plan is
 // serialized and re-read as a PR 2 plan artifact, then gated: invalid
@@ -109,8 +110,8 @@ const (
 	// StateIdle: monitoring only; the installed plan is considered
 	// current (the steady state).
 	StateIdle State = iota
-	// StateReplanning: a replan is in flight (inline latency window or
-	// background goroutine); its result has not been staged yet.
+	// StateReplanning: a replan has been computed and waits out its
+	// ReplanLatency window; its result has not been staged yet.
 	StateReplanning
 	// StateSwapping: a staged plan passed the gates and its table
 	// hot-swap is in progress; old flows are draining.
@@ -136,11 +137,10 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// ReplanFunc computes a fresh plan for the live demand matrix. It runs
-// off the simulator's hot path (in its own goroutine under
-// Opts.Background) and must honor ctx cancellation — the public
-// response.Planner does. A panic is recovered by the manager and
-// counted as a failed cycle.
+// ReplanFunc computes a fresh plan for the live demand matrix. The
+// manager calls it inline on the simulator's event loop; ctx carries
+// the ReplanBudget and WarmHint values. A panic is recovered by the
+// manager and counted as a failed cycle.
 type ReplanFunc func(ctx context.Context, live *traffic.Matrix) (*response.Plan, error)
 
 // replanBudgetKey carries the manager's replan compute budget through
@@ -216,11 +216,11 @@ type Policy struct {
 	MinInterval float64 `json:"min_interval_sec,omitempty"`
 	// ReplanDeadline is the simulated-seconds budget for one replan
 	// computation (0 = unbounded, the default). The budget travels on
-	// the replan context (ReplanBudget) so inline replans — which
-	// compute instantly in wall time — can honor it; a background
-	// replan still in flight when the budget elapses on the simulated
-	// clock is canceled. A blown deadline is a failed cycle
-	// (Metrics.ReplanTimeouts).
+	// the replan context (ReplanBudget) so replans — which compute
+	// inline, instantly on the simulated clock — can honor it; a
+	// ReplanFunc that overruns it returns an error wrapping
+	// context.DeadlineExceeded, and that failed cycle is counted in
+	// Metrics.ReplanTimeouts.
 	ReplanDeadline float64 `json:"replan_deadline_sec,omitempty"`
 	// RetryBase and RetryMax bound the decorrelated-jitter backoff
 	// between a failed cycle and its retry (defaults 60 s and
@@ -274,20 +274,12 @@ type Opts struct {
 	// 900, the GÉANT trace interval).
 	CheckEvery float64
 	// ReplanLatency models the off-hot-path compute+deploy delay in
-	// simulated seconds before an inline replan's result is staged
-	// (default 60). Ignored under Background, where wall-clock compute
-	// time takes its place.
+	// simulated seconds before a replan's result is staged (default 60).
 	ReplanLatency float64
 	// Seed drives the backoff jitter (default 1), keeping retry
 	// schedules — and therefore whole chaos replays — deterministic
 	// per seed.
 	Seed int64
-	// Background runs ReplanFunc in its own goroutine with a
-	// cancellable context; the result is staged at the first check
-	// after it completes. Completion timing then depends on wall-clock
-	// speed, so runs are no longer seed-deterministic — the default
-	// (inline + ReplanLatency) keeps the replay pinnable.
-	Background bool
 	// DrainGrace is how long retired flows keep their (idle) old
 	// tables installed after handoff (default: the controller period).
 	DrainGrace float64
@@ -305,9 +297,10 @@ type Opts struct {
 	// (span "lifecycle": check/trigger/replan/stage/swap/retry/
 	// degraded/recovered/...).
 	Events *trace.EventWriter
-	// Metrics, when non-nil, receives zero-alloc counter increments
-	// mirroring the Metrics snapshot for concurrent scrapers (replan
-	// outcomes, swap durations, degraded time) — the /metrics feed.
+	// Metrics, when non-nil, receives the Metrics snapshot each time
+	// the manager publishes one (the end of every step), so concurrent
+	// scrapers of /metrics read exactly the counters the status
+	// document reports.
 	Metrics *metrics.Runtime
 	// OnSwap, when non-nil, runs at each migrated flow's demand
 	// handoff; applications that hold *Flow references re-point them
@@ -388,7 +381,7 @@ type Metrics struct {
 	// already drifted past the trigger snapshot when they completed.
 	Superseded int
 	// ReplanFailed counts replan errors (infeasible, injected,
-	// canceled, ...); ReplanTimeouts the subset abandoned for blowing
+	// canceled, ...); ReplanTimeouts the subset that overran
 	// ReplanDeadline; ReplanPanics the subset that panicked and was
 	// recovered. ConsecutiveFailures is the current failed-cycle
 	// streak (staging rejections included), reset by any success.
@@ -413,10 +406,13 @@ type Metrics struct {
 	DegradedExited  int
 	DegradedSec     float64
 	// Swaps counts hot-swaps begun; SwapsDone counts swaps fully
-	// drained; MigratedFlows counts flows retargeted across all swaps.
+	// drained; MigratedFlows counts flows retargeted across all swaps;
+	// SwapSec is the simulated time summed over drained swaps, from
+	// begin to done.
 	Swaps         int
 	SwapsDone     int
 	MigratedFlows int
+	SwapSec       float64
 	// KeptPairs counts managed pairs that retained their old tables
 	// across swaps because the staged plan had no (usable) entry for
 	// them — the rollback rule.
@@ -425,9 +421,8 @@ type Metrics struct {
 
 // Manager is the plan lifecycle manager: monitor, replanner and
 // hot-swapper over one simulator/controller pair. Drive it entirely
-// from the simulator's event loop (it schedules itself); it is not
-// safe for concurrent use except for the background replan goroutine
-// it owns.
+// from the simulator's event loop (it schedules itself); Metrics and
+// State excepted, it is not safe for concurrent use.
 type Manager struct {
 	s      *sim.Simulator
 	c      *te.Controller
@@ -452,13 +447,7 @@ type Manager struct {
 	backoff       float64 // previous retry delay (decorrelated jitter state)
 	consecFail    int
 	retryPending  bool
-	timedOut      bool    // the in-flight replan was canceled by the deadline
 	degradedSince float64 // entry time of the current Degraded episode
-
-	cancel   context.CancelFunc
-	inFlight bool // a background replan goroutine is running
-	gen      int  // replan generation, guards stale deadline events
-	resultCh chan replanOutcome
 
 	hist analysis.Replay
 	met  Metrics
@@ -475,11 +464,6 @@ type Manager struct {
 	// reusable scratch for the per-check deviation computation
 	live   *traffic.Matrix
 	series traffic.Series
-}
-
-type replanOutcome struct {
-	plan *response.Plan
-	err  error
 }
 
 // New builds a manager over a running simulator/controller pair.
@@ -513,17 +497,18 @@ func New(s *sim.Simulator, c *te.Controller, current *response.Plan, replan Repl
 		series:  traffic.Series{Matrices: make([]*traffic.Matrix, 0, 2)},
 	}
 	m.lastReplanAt = math.Inf(-1)
-	m.resultCh = make(chan replanOutcome, 1)
 	m.hist.IntervalSec = opts.CheckEvery
 	m.publish()
 	return m
 }
 
 // publish re-copies the live counters and state into the concurrent-
-// read snapshot. It runs at the end of every manager step, on the
-// goroutine driving the simulator — the only writer of the live fields
-// — so the snapshot is exact whenever the event loop is quiescent and
-// at most one step stale while it runs.
+// read snapshot and, when a metrics.Runtime is attached, into its
+// lifecycle families — so /metrics and the status document read one
+// count. It runs at the end of every manager step, on the goroutine
+// driving the simulator — the only writer of the live fields — so the
+// snapshot is exact whenever the event loop is quiescent and at most
+// one step stale while it runs.
 func (m *Manager) publish() {
 	met := m.met
 	if m.state == StateDegraded {
@@ -533,6 +518,27 @@ func (m *Manager) publish() {
 	m.snapMet = met
 	m.snapState = m.state
 	m.snapMu.Unlock()
+	if rt := m.opts.Metrics; rt != nil {
+		rt.Checks.Store(uint64(met.Checks))
+		rt.Triggers.Store(uint64(met.Triggers))
+		rt.Replans.Store(uint64(met.Replans))
+		rt.ReplanFailed.Store(uint64(met.ReplanFailed))
+		rt.ReplanTimeouts.Store(uint64(met.ReplanTimeouts))
+		rt.ReplanPanics.Store(uint64(met.ReplanPanics))
+		rt.RejectedInvalid.Store(uint64(met.RejectedInvalid))
+		rt.RejectedPower.Store(uint64(met.RejectedPower))
+		rt.Unchanged.Store(uint64(met.Unchanged))
+		rt.Superseded.Store(uint64(met.Superseded))
+		rt.Retries.Store(uint64(met.Retries))
+		rt.Swaps.Store(uint64(met.Swaps))
+		rt.SwapsDone.Store(uint64(met.SwapsDone))
+		rt.MigratedFlows.Store(uint64(met.MigratedFlows))
+		rt.SwapDurationSec.Store(met.SwapSec)
+		rt.DegradedEntered.Store(uint64(met.DegradedEntered))
+		rt.DegradedExited.Store(uint64(met.DegradedExited))
+		rt.DegradedSec.Store(met.DegradedSec)
+		rt.SimSeconds.Set(m.s.Now())
+	}
 }
 
 // Start captures the planned-demand baseline from the currently
@@ -551,15 +557,10 @@ func (m *Manager) Start() {
 	m.s.After(m.opts.CheckEvery, tick)
 }
 
-// Stop halts monitoring and cancels any in-flight background replan. A
-// background result that completes after Stop is discarded without
-// touching the simulator.
+// Stop halts monitoring. A replan result still waiting out its
+// ReplanLatency window is discarded without touching the simulator.
 func (m *Manager) Stop() {
 	m.stopped = true
-	if m.cancel != nil {
-		m.cancel()
-		m.cancel = nil
-	}
 	m.publish()
 }
 
@@ -601,7 +602,7 @@ func (m *Manager) Policy() Policy { return m.opts.Policy }
 
 // SetPolicy validates p and applies it to the running manager: the
 // next check, replan and retry use the new thresholds; nothing already
-// scheduled (an in-flight replan, a booked retry) is re-timed. Like
+// scheduled (a pending staging, a booked retry) is re-timed. Like
 // every Manager method except Metrics and State it must run on the
 // goroutine driving the simulator.
 func (m *Manager) SetPolicy(p Policy) error {
@@ -655,41 +656,25 @@ func (m *Manager) deviation(base, cur *traffic.Matrix) float64 {
 func (m *Manager) check() {
 	defer m.publish()
 	m.met.Checks++
-	if rt := m.opts.Metrics; rt != nil {
-		rt.Checks.Inc()
-		rt.SimSeconds.Set(m.s.Now())
-	}
 	m.buildLive()
 	dev := m.deviation(m.planned, m.live)
 	m.met.LastDeviation = dev
 	m.hist.Fingerprints = append(m.hist.Fingerprints, m.current.Fingerprint())
 	m.opts.Events.Emit(m.s.Now(), "lifecycle", "check", -1, -1, -1, dev)
 
-	switch m.state {
-	case StateSwapping:
-		return // drain in progress; nothing to decide
-	case StateReplanning, StateDegraded:
-		// Poll for a completed background replan; degraded retries and
-		// inline stagings schedule themselves.
-		if !m.opts.Background || !m.inFlight {
-			return
+	if m.state != StateIdle {
+		// A staging, a drain or a degraded retry is in progress; each
+		// schedules itself.
+		return
+	}
+	if !m.armed {
+		if dev < m.opts.Spread*m.opts.Hysteresis {
+			m.armed = true
 		}
-		select {
-		case r := <-m.resultCh:
-			m.cancel = nil
-			m.stage(r.plan, r.err)
-		default:
-		}
-	case StateIdle:
-		if !m.armed {
-			if dev < m.opts.Spread*m.opts.Hysteresis {
-				m.armed = true
-			}
-			return
-		}
-		if dev >= m.opts.Spread && m.s.Now()-m.lastReplanAt >= m.opts.MinInterval {
-			m.fire()
-		}
+		return
+	}
+	if dev >= m.opts.Spread && m.s.Now()-m.lastReplanAt >= m.opts.MinInterval {
+		m.fire()
 	}
 }
 
@@ -697,15 +682,13 @@ func (m *Manager) check() {
 // matrix.
 func (m *Manager) fire() {
 	m.met.Triggers++
-	if rt := m.opts.Metrics; rt != nil {
-		rt.Triggers.Inc()
-	}
 	m.opts.Events.Emit(m.s.Now(), "lifecycle", "trigger", -1, -1, -1, m.met.LastDeviation)
 	m.launch()
 }
 
-// launch starts one replan cycle (trigger or retry) from the current
-// live matrix.
+// launch runs one replan cycle (trigger or retry) on the current live
+// matrix: it computes now, inline, and stages the result after the
+// modeled ReplanLatency.
 func (m *Manager) launch() {
 	defer m.publish()
 	m.armed = false
@@ -714,34 +697,6 @@ func (m *Manager) launch() {
 	if m.state != StateDegraded {
 		m.state = StateReplanning
 	}
-	m.gen++
-	if m.opts.Background {
-		ctx, cancel := context.WithCancel(context.Background())
-		if !m.opts.NoWarmStart && m.current != nil {
-			ctx = withWarmHint(ctx, m.current)
-		}
-		if m.opts.ReplanDeadline > 0 {
-			ctx = withReplanBudget(ctx, m.opts.ReplanDeadline)
-			gen := m.gen
-			m.s.After(m.opts.ReplanDeadline, func() {
-				if m.inFlight && m.gen == gen && m.cancel != nil {
-					m.timedOut = true
-					m.cancel()
-					m.cancel = nil
-				}
-			})
-		}
-		m.cancel = cancel
-		m.inFlight = true
-		snapshot := m.trigger
-		go func() {
-			p, err := m.runReplan(ctx, snapshot)
-			m.resultCh <- replanOutcome{plan: p, err: err}
-		}()
-		return
-	}
-	// Inline: compute now (the snapshot is the demand at trigger
-	// time), stage after the modeled background latency.
 	ctx := context.Background()
 	if !m.opts.NoWarmStart && m.current != nil {
 		ctx = withWarmHint(ctx, m.current)
@@ -754,9 +709,7 @@ func (m *Manager) launch() {
 }
 
 // runReplan invokes the ReplanFunc with panic recovery: a panicking
-// planner is a failed cycle, not a crashed control loop. The recover
-// must live here — for background replans this runs inside the replan
-// goroutine, where the manager's event-loop code cannot catch it.
+// planner is a failed cycle, not a crashed control loop.
 func (m *Manager) runReplan(ctx context.Context, live *traffic.Matrix) (p *response.Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -769,14 +722,10 @@ func (m *Manager) runReplan(ctx context.Context, live *traffic.Matrix) (p *respo
 // stage receives a completed replan and runs the gate sequence.
 func (m *Manager) stage(p *response.Plan, err error) {
 	if m.stopped {
-		return // late background result after Stop: discard
+		return // Stop landed inside the ReplanLatency window: discard
 	}
 	defer m.publish()
 	m.met.Replans++
-	if rt := m.opts.Metrics; rt != nil {
-		rt.Replans.Inc()
-	}
-	m.inFlight = false
 	if m.state == StateReplanning {
 		m.state = StateIdle
 	}
@@ -788,17 +737,15 @@ func (m *Manager) stage(p *response.Plan, err error) {
 		case errors.As(err, &pe):
 			m.met.ReplanPanics++
 			op = "replan-panic"
-		case m.timedOut || errors.Is(err, context.DeadlineExceeded):
+		case errors.Is(err, context.DeadlineExceeded):
 			m.met.ReplanTimeouts++
 			op = "replan-timeout"
 		}
-		m.timedOut = false
 		// Old plan and baseline stay; the failed cycle books a retry
 		// (and may trip degradation).
 		m.failedCycle(op)
 		return
 	}
-	m.timedOut = false
 	// Superseded? If demand has drifted past the trigger snapshot as
 	// far as the drift that fired it, the result is stale: abandon it
 	// and re-arm — the baseline is untouched, so the still-deviating
@@ -809,9 +756,6 @@ func (m *Manager) stage(p *response.Plan, err error) {
 	m.buildLive()
 	if m.deviation(m.trigger, m.live) >= m.opts.Spread {
 		m.met.Superseded++
-		if rt := m.opts.Metrics; rt != nil {
-			rt.Superseded.Inc()
-		}
 		m.armed = true
 		m.opts.Events.Emit(m.s.Now(), "lifecycle", "superseded", -1, -1, -1, 0)
 		if m.state == StateDegraded {
@@ -827,19 +771,6 @@ func (m *Manager) stage(p *response.Plan, err error) {
 func (m *Manager) failedCycle(op string) {
 	m.consecFail++
 	m.met.ConsecutiveFailures = m.consecFail
-	if rt := m.opts.Metrics; rt != nil {
-		// The one funnel every failed cycle passes through; the op
-		// string names the flavor.
-		rt.ReplanFailed.Inc()
-		switch op {
-		case "replan-panic":
-			rt.ReplanPanics.Inc()
-		case "replan-timeout":
-			rt.ReplanTimeouts.Inc()
-		case "reject-invalid":
-			rt.RejectedInvalid.Inc()
-		}
-	}
 	m.armed = true
 	m.opts.Events.Emit(m.s.Now(), "lifecycle", op, -1, -1, -1, float64(m.consecFail))
 	if m.state != StateDegraded && m.opts.DegradedAfter > 0 && m.consecFail >= m.opts.DegradedAfter {
@@ -854,9 +785,6 @@ func (m *Manager) failedCycle(op string) {
 func (m *Manager) enterDegraded() {
 	m.state = StateDegraded
 	m.met.DegradedEntered++
-	if rt := m.opts.Metrics; rt != nil {
-		rt.DegradedEntered.Inc()
-	}
 	m.degradedSince = m.s.Now()
 	m.s.SetPinnedOn(topo.AllOn(m.s.T))
 	m.opts.Events.Emit(m.s.Now(), "lifecycle", "degraded", -1, -1, -1, float64(m.consecFail))
@@ -875,10 +803,6 @@ func (m *Manager) cycleSucceeded(restorePin bool) {
 	}
 	m.met.DegradedExited++
 	m.met.DegradedSec += m.s.Now() - m.degradedSince
-	if rt := m.opts.Metrics; rt != nil {
-		rt.DegradedExited.Inc()
-		rt.DegradedSec.Add(m.s.Now() - m.degradedSince)
-	}
 	m.state = StateIdle
 	if restorePin {
 		m.s.SetPinnedOn(m.current.AlwaysOnSet())
@@ -907,9 +831,6 @@ func (m *Manager) scheduleRetry() {
 			return
 		}
 		m.met.Retries++
-		if rt := m.opts.Metrics; rt != nil {
-			rt.Retries.Inc()
-		}
 		m.opts.Events.Emit(m.s.Now(), "lifecycle", "retry", -1, -1, -1, float64(m.consecFail))
 		m.launch()
 	})
@@ -941,9 +862,6 @@ func (m *Manager) StageAndSwap(p *response.Plan) error {
 		return fmt.Errorf("lifecycle: nil plan")
 	}
 	m.met.Replans++
-	if rt := m.opts.Metrics; rt != nil {
-		rt.Replans.Inc()
-	}
 	m.buildLive()
 	m.trigger = m.live.Clone()
 	m.gateAndSwap(p)
@@ -963,9 +881,6 @@ func (m *Manager) gateAndSwap(p *response.Plan) {
 		// Recomputation confirmed the installed tables: adopt the
 		// fresher baseline, deploy nothing.
 		m.met.Unchanged++
-		if rt := m.opts.Metrics; rt != nil {
-			rt.Unchanged.Inc()
-		}
 		m.adoptBaseline()
 		m.opts.Events.Emit(now, "lifecycle", "unchanged", -1, -1, -1, 0)
 		m.cycleSucceeded(true)
@@ -1000,9 +915,6 @@ func (m *Manager) gateAndSwap(p *response.Plan) {
 			// it computes valid plans: the cycle counts as a success
 			// (a degraded manager recovers to the installed plan).
 			m.met.RejectedPower++
-			if rt := m.opts.Metrics; rt != nil {
-				rt.RejectedPower.Inc()
-			}
 			m.adoptBaseline()
 			m.opts.Events.Emit(now, "lifecycle", "reject-power", -1, -1, -1, cand.Watts-cur.Watts)
 			m.cycleSucceeded(true)
@@ -1028,9 +940,6 @@ func (m *Manager) beginSwap(p *response.Plan) {
 	m.state = StateSwapping
 	m.met.Swaps++
 	m.swapStartAt = m.s.Now()
-	if rt := m.opts.Metrics; rt != nil {
-		rt.Swaps.Inc()
-	}
 	m.opts.Events.Emit(m.s.Now(), "lifecycle", "swap", -1, -1, -1, 0)
 	m.s.SetPinnedOn(p.AlwaysOnSet())
 	decisions := make(map[[2]topo.NodeID]pairDecision)
@@ -1090,11 +999,7 @@ func (m *Manager) flowRetired(old, new *sim.Flow) {
 func (m *Manager) swapDone() {
 	m.state = StateIdle
 	m.met.SwapsDone++
-	if rt := m.opts.Metrics; rt != nil {
-		rt.SwapsDone.Inc()
-		rt.MigratedFlows.Add(uint64(m.lastMigrated))
-		rt.SwapDurationSec.Add(m.s.Now() - m.swapStartAt)
-	}
+	m.met.SwapSec += m.s.Now() - m.swapStartAt
 	m.opts.Events.Emit(m.s.Now(), "lifecycle", "swap-done", -1, -1, -1, float64(m.lastMigrated))
 }
 

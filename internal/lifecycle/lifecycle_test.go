@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"response"
 	"response/internal/core"
@@ -431,58 +430,6 @@ func TestRollbackKeepsMissingPairs(t *testing.T) {
 	}
 	if kept == 0 {
 		t.Fatal("subset plan dropped no managed pair; test is vacuous")
-	}
-}
-
-// TestBackgroundReplanCancellation: Stop cancels an in-flight
-// background replan through its context.
-func TestBackgroundReplanCancellation(t *testing.T) {
-	r := newRig(t, 1, 1, 0.3)
-	canceled := make(chan struct{})
-	blocking := func(ctx context.Context, live *traffic.Matrix) (*response.Plan, error) {
-		<-ctx.Done()
-		close(canceled)
-		return nil, ctx.Err()
-	}
-	m := New(r.s, r.c, r.plan, blocking, Opts{
-		Policy:     Policy{MinInterval: 100},
-		CheckEvery: 100, Background: true,
-	})
-	m.Start()
-	r.scaleFirst(0.5, 2)
-	r.s.Run(150)
-	if m.State() != StateReplanning {
-		t.Fatalf("state = %v, want replanning", m.State())
-	}
-	m.Stop()
-	select {
-	case <-canceled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not cancel the in-flight replan context")
-	}
-}
-
-// TestBackgroundReplanCompletes: a background replan's result is
-// staged at a later check.
-func TestBackgroundReplanCompletes(t *testing.T) {
-	r := newRig(t, 1, 1, 0.3)
-	m := New(r.s, r.c, r.plan, r.sameReplan(), Opts{
-		Policy:     Policy{MinInterval: 100},
-		CheckEvery: 100, Background: true,
-	})
-	m.Start()
-	r.scaleFirst(0.5, 2)
-	deadline := time.Now().Add(10 * time.Second)
-	for m.Metrics().Replans == 0 && time.Now().Before(deadline) {
-		r.s.Run(r.s.Now() + 100)
-		time.Sleep(time.Millisecond)
-	}
-	met := m.Metrics()
-	if met.Replans == 0 {
-		t.Fatal("background replan result never staged")
-	}
-	if met.Unchanged == 0 && met.Superseded == 0 {
-		t.Errorf("metrics = %+v, want the result consumed", met)
 	}
 }
 

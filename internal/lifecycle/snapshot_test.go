@@ -2,10 +2,9 @@ package lifecycle
 
 // The concurrent-snapshot contract of Manager.Metrics/State: the
 // controld daemon polls a running manager from HTTP handler goroutines
-// while the simulator advances on the tenant loop and a Background
-// replan goroutine completes into the result channel. Under -race this
-// test is the proof that the copy-on-read accessors never touch the
-// live event-loop fields.
+// while the simulator advances — and replans inline — on the tenant
+// loop. Under -race this test is the proof that the copy-on-read
+// accessors never touch the live event-loop fields.
 
 import (
 	"sync"
@@ -13,14 +12,14 @@ import (
 	"testing"
 )
 
-// TestMetricsConcurrentSnapshot hammers Metrics/State/Policy reads
-// from many goroutines while the simulator runs a Background-replan
-// lifecycle to completion. Run under -race (CI does).
+// TestMetricsConcurrentSnapshot hammers Metrics/State reads from many
+// goroutines while the driving goroutine steps a replanning lifecycle
+// to completion. Run under -race (CI does).
 func TestMetricsConcurrentSnapshot(t *testing.T) {
 	r := newRig(t, 1, 1, 0.3)
 	m := New(r.s, r.c, r.plan, r.liveReplan(), Opts{
 		Policy:     Policy{MinInterval: 100},
-		CheckEvery: 100, Background: true,
+		CheckEvery: 100, ReplanLatency: 10,
 	})
 	m.Start()
 	r.scaleFirst(0.5, 3) // drift well past the trigger
@@ -47,8 +46,8 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 		}()
 	}
 
-	// Drive until the background replan has been staged (or plenty of
-	// simulated time has passed); checks poll the result channel.
+	// Drive until the replan has been staged (or plenty of simulated
+	// time has passed).
 	for end := 200.0; end <= 60*3600; end += 200 {
 		r.s.Run(end)
 		if m.Metrics().Replans > 0 && m.State() == StateIdle {
@@ -61,7 +60,7 @@ func TestMetricsConcurrentSnapshot(t *testing.T) {
 
 	met := m.Metrics()
 	if met.Triggers == 0 || met.Replans == 0 {
-		t.Fatalf("background replan never completed under pollers: %+v", met)
+		t.Fatalf("replan never completed under pollers: %+v", met)
 	}
 }
 

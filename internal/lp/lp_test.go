@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// addBinary declares a {0,1} integer variable.
+func addBinary(p *Problem, name string, obj float64) VarID {
+	id := p.AddVar(name, 0, 1, obj)
+	p.SetInteger(id)
+	return id
+}
+
 func solveOK(t *testing.T, p *Problem) Solution {
 	t.Helper()
 	sol, err := Solve(p)
@@ -148,9 +155,9 @@ func TestMIPKnapsack(t *testing.T) {
 	// max 10a+13b+7c st 3a+4b+2c <= 6 (binary) → min negated.
 	// Brute force best: a+c (weight 5, value 17); b+c (6, 20) ✓.
 	p := NewProblem()
-	a := p.AddBinary("a", -10)
-	b := p.AddBinary("b", -13)
-	c := p.AddBinary("c", -7)
+	a := addBinary(p, "a", -10)
+	b := addBinary(p, "b", -13)
+	c := addBinary(p, "c", -7)
 	p.AddConstraint("w", []Term{{a, 3}, {b, 4}, {c, 2}}, LE, 6)
 	res, err := SolveMIP(p, MIPOpts{})
 	if err != nil {
@@ -187,8 +194,8 @@ func TestMIPIntegerRounding(t *testing.T) {
 
 func TestMIPInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddBinary("x", 1)
-	y := p.AddBinary("y", 1)
+	x := addBinary(p, "x", 1)
+	y := addBinary(p, "y", 1)
 	p.AddConstraint("c", []Term{{x, 1}, {y, 1}}, GE, 3)
 	res, err := SolveMIP(p, MIPOpts{})
 	if err != nil {
@@ -231,7 +238,7 @@ func TestSimplexBeatsGreedyProperty(t *testing.T) {
 			return false
 		}
 		// All-ones is always feasible for these instances.
-		ones := make([]float64, p.NumVars())
+		ones := make([]float64, len(p.vars))
 		for i := range ones {
 			ones[i] = 1
 		}
@@ -263,7 +270,7 @@ func randomBinaryPacking(seed int64) (mip, relaxed *Problem) {
 	costs := make([]float64, nVars)
 	for i := range costs {
 		costs[i] = -float64(1 + next(9))
-		mip.AddBinary("x", costs[i])
+		addBinary(mip, "x", costs[i])
 		relaxed.AddVar("x", 0, 1, costs[i])
 	}
 	for c := 0; c < nCons; c++ {

@@ -67,13 +67,6 @@ func (p *Problem) AddVar(name string, lo, hi, obj float64) VarID {
 	return VarID(len(p.vars) - 1)
 }
 
-// AddBinary declares a {0,1} integer variable.
-func (p *Problem) AddBinary(name string, obj float64) VarID {
-	id := p.AddVar(name, 0, 1, obj)
-	p.vars[id].integer = true
-	return id
-}
-
 // SetInteger marks an existing variable as integer-constrained.
 func (p *Problem) SetInteger(v VarID) { p.vars[v].integer = true }
 
@@ -81,9 +74,6 @@ func (p *Problem) SetInteger(v VarID) { p.vars[v].integer = true }
 func (p *Problem) AddConstraint(name string, terms []Term, rel Rel, rhs float64) {
 	p.cons = append(p.cons, Constraint{Terms: terms, Rel: rel, RHS: rhs, Name: name})
 }
-
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return len(p.vars) }
 
 // Status reports the outcome of a solve.
 type Status int

@@ -81,20 +81,6 @@ func (r *Routing) Unassign(o, d topo.NodeID, rate float64) {
 	delete(r.Paths, k)
 }
 
-// MaxUtilization returns the maximum load/capacity over all arcs.
-func (r *Routing) MaxUtilization(t *topo.Topology) float64 {
-	var mx float64
-	for i, l := range r.Load {
-		if l == 0 {
-			continue
-		}
-		if u := l / t.Arc(topo.ArcID(i)).Capacity; u > mx {
-			mx = u
-		}
-	}
-	return mx
-}
-
 // UsedElements returns the active set implied by the routing: every
 // router and link on some assigned path, with model invariants applied.
 func (r *Routing) UsedElements(t *topo.Topology) *topo.ActiveSet {

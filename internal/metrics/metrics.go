@@ -30,6 +30,10 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
+// Store sets the count to n: the owner of a counter kept elsewhere
+// publishes its value here.
+func (c *Counter) Store(n uint64) { c.v.Store(n) }
+
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -47,6 +51,9 @@ func (c *FloatCounter) Add(v float64) {
 		}
 	}
 }
+
+// Store sets the sum to v (see Counter.Store).
+func (c *FloatCounter) Store(v float64) { c.bits.Store(math.Float64bits(v)) }
 
 // Value returns the current sum.
 func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
@@ -82,24 +89,26 @@ type Runtime struct {
 	AllocEpochs    Counter      // incremental allocator passes
 	AllocFlows     Counter      // flows touched across allocator passes
 
-	// Lifecycle manager (span "lifecycle").
-	Checks          Counter      // deviation checks
-	Triggers        Counter      // trigger policy firings
-	Replans         Counter      // replan attempts started
-	ReplanFailed    Counter      // failed cycles (error/timeout/panic/reject)
-	ReplanTimeouts  Counter      // ... of which blew the deadline
-	ReplanPanics    Counter      // ... of which panicked
-	RejectedInvalid Counter      // staged plans failing validation
-	RejectedPower   Counter      // staged plans failing the power gate
-	Unchanged       Counter      // replans fingerprint-equal to live
-	Superseded      Counter      // stale results discarded after a swap
-	Retries         Counter      // backoff retries scheduled
-	Swaps           Counter      // hot swaps begun
-	SwapsDone       Counter      // hot swaps completed
-	MigratedFlows   Counter      // flows handed over across all swaps
-	SwapDurationSec FloatCounter // summed sim-time swap→swap-done
-	DegradedEntered Counter      // entries into the pinned all-on state
-	DegradedExited  Counter      // recoveries out of it
-	DegradedSec     FloatCounter // summed sim time spent degraded
-	SimSeconds      Gauge        // sim clock at the last lifecycle check
+	// Lifecycle manager (span "lifecycle"): stored from the manager's
+	// published lifecycle.Metrics snapshot, so each family reads the
+	// field of the same name in the tenant status document.
+	Checks          Counter      // Metrics.Checks
+	Triggers        Counter      // Metrics.Triggers
+	Replans         Counter      // Metrics.Replans
+	ReplanFailed    Counter      // Metrics.ReplanFailed
+	ReplanTimeouts  Counter      // Metrics.ReplanTimeouts
+	ReplanPanics    Counter      // Metrics.ReplanPanics
+	RejectedInvalid Counter      // Metrics.RejectedInvalid
+	RejectedPower   Counter      // Metrics.RejectedPower
+	Unchanged       Counter      // Metrics.Unchanged
+	Superseded      Counter      // Metrics.Superseded
+	Retries         Counter      // Metrics.Retries
+	Swaps           Counter      // Metrics.Swaps
+	SwapsDone       Counter      // Metrics.SwapsDone
+	MigratedFlows   Counter      // Metrics.MigratedFlows
+	SwapDurationSec FloatCounter // Metrics.SwapSec
+	DegradedEntered Counter      // Metrics.DegradedEntered
+	DegradedExited  Counter      // Metrics.DegradedExited
+	DegradedSec     FloatCounter // Metrics.DegradedSec
+	SimSeconds      Gauge        // sim clock at the manager's latest step
 }

@@ -43,25 +43,25 @@ var descriptors = []descriptor{
 	{"response_sim_wake_latency_seconds_total", "Summed sleep-to-forwarding wake latency.", "counter", func(r *Runtime) float64 { return fctr(&r.WakeLatencySec) }},
 	{"response_sim_alloc_epochs_total", "Incremental max-min allocator passes.", "counter", func(r *Runtime) float64 { return ctr(&r.AllocEpochs) }},
 	{"response_sim_alloc_flows_total", "Flows touched across allocator passes.", "counter", func(r *Runtime) float64 { return ctr(&r.AllocFlows) }},
-	{"response_lifecycle_checks_total", "Deviation checks.", "counter", func(r *Runtime) float64 { return ctr(&r.Checks) }},
-	{"response_lifecycle_triggers_total", "Trigger policy firings.", "counter", func(r *Runtime) float64 { return ctr(&r.Triggers) }},
-	{"response_lifecycle_replans_total", "Replan attempts started.", "counter", func(r *Runtime) float64 { return ctr(&r.Replans) }},
-	{"response_lifecycle_replans_failed_total", "Failed replan cycles (error, timeout, panic or rejection).", "counter", func(r *Runtime) float64 { return ctr(&r.ReplanFailed) }},
-	{"response_lifecycle_replan_timeouts_total", "Replan cycles that blew the deadline.", "counter", func(r *Runtime) float64 { return ctr(&r.ReplanTimeouts) }},
-	{"response_lifecycle_replan_panics_total", "Replan cycles that panicked.", "counter", func(r *Runtime) float64 { return ctr(&r.ReplanPanics) }},
-	{"response_lifecycle_rejected_invalid_total", "Staged plans rejected by validation.", "counter", func(r *Runtime) float64 { return ctr(&r.RejectedInvalid) }},
-	{"response_lifecycle_rejected_power_total", "Staged plans rejected by the power gate.", "counter", func(r *Runtime) float64 { return ctr(&r.RejectedPower) }},
-	{"response_lifecycle_unchanged_total", "Replans fingerprint-equal to the live plan.", "counter", func(r *Runtime) float64 { return ctr(&r.Unchanged) }},
-	{"response_lifecycle_superseded_total", "Stale replan results discarded after a swap.", "counter", func(r *Runtime) float64 { return ctr(&r.Superseded) }},
-	{"response_lifecycle_retries_total", "Backoff retries scheduled.", "counter", func(r *Runtime) float64 { return ctr(&r.Retries) }},
+	{"response_lifecycle_checks_total", "Monitor ticks (deviation checks).", "counter", func(r *Runtime) float64 { return ctr(&r.Checks) }},
+	{"response_lifecycle_triggers_total", "Replans fired by the deviation policy.", "counter", func(r *Runtime) float64 { return ctr(&r.Triggers) }},
+	{"response_lifecycle_replans_total", "Completed replan computations (triggered, retried or forced).", "counter", func(r *Runtime) float64 { return ctr(&r.Replans) }},
+	{"response_lifecycle_replans_failed_total", "Replan errors (infeasible, injected, canceled, timed out or panicked).", "counter", func(r *Runtime) float64 { return ctr(&r.ReplanFailed) }},
+	{"response_lifecycle_replan_timeouts_total", "Replan errors that overran the replan deadline.", "counter", func(r *Runtime) float64 { return ctr(&r.ReplanTimeouts) }},
+	{"response_lifecycle_replan_panics_total", "Replan errors that panicked and were recovered.", "counter", func(r *Runtime) float64 { return ctr(&r.ReplanPanics) }},
+	{"response_lifecycle_rejected_invalid_total", "Staged plans failing structural validation or the artifact round trip.", "counter", func(r *Runtime) float64 { return ctr(&r.RejectedInvalid) }},
+	{"response_lifecycle_rejected_power_total", "Staged plans strictly worse in power under the live matrix.", "counter", func(r *Runtime) float64 { return ctr(&r.RejectedPower) }},
+	{"response_lifecycle_unchanged_total", "Replans whose tables fingerprint-matched the installed plan.", "counter", func(r *Runtime) float64 { return ctr(&r.Unchanged) }},
+	{"response_lifecycle_superseded_total", "Replan results abandoned because demand had drifted past the trigger snapshot.", "counter", func(r *Runtime) float64 { return ctr(&r.Superseded) }},
+	{"response_lifecycle_retries_total", "Backoff-paced retries of failed cycles, counted when they fire.", "counter", func(r *Runtime) float64 { return ctr(&r.Retries) }},
 	{"response_lifecycle_swaps_total", "Hot swaps begun.", "counter", func(r *Runtime) float64 { return ctr(&r.Swaps) }},
-	{"response_lifecycle_swaps_done_total", "Hot swaps completed.", "counter", func(r *Runtime) float64 { return ctr(&r.SwapsDone) }},
-	{"response_lifecycle_migrated_flows_total", "Flows handed over across all swaps.", "counter", func(r *Runtime) float64 { return ctr(&r.MigratedFlows) }},
-	{"response_lifecycle_swap_duration_seconds_total", "Summed sim time from swap begin to swap done.", "counter", func(r *Runtime) float64 { return fctr(&r.SwapDurationSec) }},
-	{"response_lifecycle_degraded_entered_total", "Entries into the pinned all-on degraded state.", "counter", func(r *Runtime) float64 { return ctr(&r.DegradedEntered) }},
-	{"response_lifecycle_degraded_exited_total", "Recoveries out of the degraded state.", "counter", func(r *Runtime) float64 { return ctr(&r.DegradedExited) }},
-	{"response_lifecycle_degraded_seconds_total", "Summed sim time spent degraded.", "counter", func(r *Runtime) float64 { return fctr(&r.DegradedSec) }},
-	{"response_lifecycle_sim_seconds", "Sim clock at the last lifecycle check.", "gauge", func(r *Runtime) float64 { return r.SimSeconds.Value() }},
+	{"response_lifecycle_swaps_done_total", "Hot swaps fully drained.", "counter", func(r *Runtime) float64 { return ctr(&r.SwapsDone) }},
+	{"response_lifecycle_migrated_flows_total", "Flows retargeted across all swaps.", "counter", func(r *Runtime) float64 { return ctr(&r.MigratedFlows) }},
+	{"response_lifecycle_swap_duration_seconds_total", "Sim time summed over drained swaps, from begin to done.", "counter", func(r *Runtime) float64 { return fctr(&r.SwapDurationSec) }},
+	{"response_lifecycle_degraded_entered_total", "Entries into the degraded state (all-on element set pinned).", "counter", func(r *Runtime) float64 { return ctr(&r.DegradedEntered) }},
+	{"response_lifecycle_degraded_exited_total", "Exits from the degraded state.", "counter", func(r *Runtime) float64 { return ctr(&r.DegradedExited) }},
+	{"response_lifecycle_degraded_seconds_total", "Sim time spent in the degraded state, the current episode included.", "counter", func(r *Runtime) float64 { return fctr(&r.DegradedSec) }},
+	{"response_lifecycle_sim_seconds", "Sim clock at the lifecycle manager's latest step.", "gauge", func(r *Runtime) float64 { return r.SimSeconds.Value() }},
 }
 
 // WritePrometheus renders every runtime in Prometheus text exposition

@@ -201,15 +201,6 @@ func FullWatts(t *topo.Topology, m Model) float64 {
 	return NetworkWatts(t, m, topo.AllOn(t))
 }
 
-// Fraction returns NetworkWatts as a percentage of FullWatts.
-func Fraction(t *topo.Topology, m Model, active *topo.ActiveSet) float64 {
-	full := FullWatts(t, m)
-	if full == 0 {
-		return 0
-	}
-	return 100 * NetworkWatts(t, m, active) / full
-}
-
 // Meter integrates network energy over time as the active set evolves.
 // Feed it state changes with Observe; it accumulates Joules between
 // observations and keeps a (time, watts) series for plotting.

@@ -167,13 +167,15 @@ func TestNetworkWattsMonotoneProperty(t *testing.T) {
 	}
 }
 
+// TestFractionBounds: the meter's percent-of-full reading spans
+// [0, 100] from all-off to all-on.
 func TestFractionBounds(t *testing.T) {
 	tp := topo.NewGeant()
 	m := Cisco12000{}
-	if got := Fraction(tp, m, topo.AllOn(tp)); math.Abs(got-100) > 1e-9 {
+	if got := NewMeter(tp, m, topo.AllOn(tp)).Series[0].PctOfFull; math.Abs(got-100) > 1e-9 {
 		t.Errorf("all-on fraction = %v", got)
 	}
-	if got := Fraction(tp, m, topo.AllOff(tp)); got != 0 {
+	if got := NewMeter(tp, m, topo.AllOff(tp)).Series[0].PctOfFull; got != 0 {
 		t.Errorf("all-off fraction = %v", got)
 	}
 }

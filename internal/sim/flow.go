@@ -115,9 +115,9 @@ func (s *Simulator) AddFlow(o, d topo.NodeID, demand float64, paths []topo.Path)
 }
 
 // RemoveFlow withdraws a flow: its offered traffic drops to zero, the
-// freed capacity is redistributed, and its recorded rate samples are
-// released. The *Flow stays readable (ID, CumulativeBytes) but is
-// skipped by sampling and probing, and its inverted-index entries are
+// freed capacity is redistributed. The *Flow stays readable (ID,
+// CumulativeBytes) but is skipped by probing and by the link walks,
+// and its inverted-index entries are
 // compacted away once removed flows hold the majority of the index —
 // under sustained churn, index walks and memory stay proportional to
 // the live flow set. The flat subflow slots themselves are retained
@@ -130,7 +130,6 @@ func (s *Simulator) RemoveFlow(f *Flow) {
 	s.integrate(f)
 	f.removed = true
 	s.markFlowDirty(int32(f.ID))
-	delete(s.rateSamples, f.ID)
 	for _, p := range f.Paths {
 		s.indexLive -= len(p.Arcs)
 		s.indexDead += len(p.Arcs)

@@ -140,50 +140,12 @@ type Simulator struct {
 	meter *power.Meter
 
 	failHandlers []func(now float64, l topo.LinkID)
-
-	// Rate sampling is opt-in (RateSampling); sampleCap 0 means
-	// disabled, <0 unbounded, >0 a per-flow ring of that capacity.
-	sampleCap   int
-	rateSamples map[int]*sampleRing
 }
 
 // Sample is one (time, value) observation.
 type Sample struct {
 	Time  float64
 	Value float64
-}
-
-// sampleRing holds the most recent samples of one flow. With a
-// positive capacity it overwrites the oldest entry once full, so long
-// replays hold bounded memory per flow. The capacity is fixed at ring
-// creation: re-tuning RateSampling mid-run applies to flows sampled
-// for the first time afterwards, never reshaping a live ring (which
-// would scramble its chronology).
-type sampleRing struct {
-	cap  int // <= 0: unbounded
-	buf  []Sample
-	head int // next write position when full
-	full bool
-}
-
-func (r *sampleRing) push(s Sample) {
-	if r.cap <= 0 || len(r.buf) < r.cap {
-		r.buf = append(r.buf, s)
-		return
-	}
-	r.buf[r.head] = s
-	r.head = (r.head + 1) % r.cap
-	r.full = true
-}
-
-func (r *sampleRing) snapshot() []Sample {
-	out := make([]Sample, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.head:]...)
-		out = append(out, r.buf[:r.head]...)
-		return out
-	}
-	return append(out, r.buf...)
 }
 
 // New builds a simulator with every link initially active.
@@ -199,7 +161,6 @@ func New(t *topo.Topology, opts Opts) *Simulator {
 		arcLoad:     make([]float64, t.NumArcs()),
 		arcSubs:     make([][]int32, t.NumArcs()),
 		subArcStart: []int32{0},
-		rateSamples: make(map[int]*sampleRing),
 	}
 	s.ws.init(t)
 	if opts.Model != nil {
@@ -265,9 +226,6 @@ func (s *Simulator) markFlowDirty(fid int32) {
 	}
 	s.dirty = true
 }
-
-// LinkState returns the current phase of a link.
-func (s *Simulator) LinkState(l topo.LinkID) LinkPhase { return s.phase[l] }
 
 // LinkCarried returns the traffic (both directions summed per arc) on
 // the link's arcs in bits/s.
@@ -586,63 +544,18 @@ func (s *Simulator) PowerPct() float64 {
 	return 0
 }
 
-// RateSampling enables per-flow rate recording. A positive capacity
-// keeps a ring of the most recent capacity samples per flow (bounded
-// memory for long replays); capacity <= 0 keeps every sample.
-// Sampling is off until this is called: SampleRates and SampleEvery
-// record nothing, so large-scale runs pay no memory for observability
-// they did not ask for.
-func (s *Simulator) RateSampling(capacity int) {
-	if capacity <= 0 {
-		capacity = -1
-	}
-	s.sampleCap = capacity
-}
-
-// SampleRates records every live flow's achieved rate at the current
-// time. A no-op unless RateSampling was called.
-func (s *Simulator) SampleRates() {
-	if s.sampleCap == 0 {
-		return
-	}
-	for _, f := range s.flows {
-		if f.removed {
-			continue
-		}
-		r := s.rateSamples[f.ID]
-		if r == nil {
-			r = &sampleRing{cap: s.sampleCap}
-			s.rateSamples[f.ID] = r
-		}
-		r.push(Sample{Time: s.now, Value: f.Rate()})
-	}
-}
-
-// SampleEvery arranges for fn (and, when RateSampling is enabled, a
-// rate sample) to run periodically until the simulator stops being run
-// past the horizon.
+// SampleEvery runs fn every period seconds, starting now, until the
+// horizon until — the one sampling hook: callers record what they
+// observe (flow rates, bytes, power) themselves.
 func (s *Simulator) SampleEvery(period, until float64, fn func(now float64)) {
 	var tick func()
 	tick = func() {
-		s.SampleRates()
-		if fn != nil {
-			fn(s.now)
-		}
+		fn(s.now)
 		if s.now+period <= until {
 			s.After(period, tick)
 		}
 	}
 	s.After(0, tick)
-}
-
-// RateSamples returns the recorded samples for a flow in chronological
-// order (nil when sampling was never enabled for it).
-func (s *Simulator) RateSamples(id int) []Sample {
-	r := s.rateSamples[id]
-	if r == nil {
-		return nil
-	}
-	return r.snapshot()
 }
 
 // StateFingerprint hashes the simulator's externally observable

@@ -89,13 +89,13 @@ func TestIdleLinkSleepsAndPowerDrops(t *testing.T) {
 	s := New(tp, Opts{Model: power.Cisco12000{}, SleepAfterIdle: 0.5})
 	f, _ := s.AddFlow(a, b, 5*topo.Mbps, []topo.Path{p})
 	s.Run(1)
-	if s.LinkState(0) != LinkActive {
+	if s.phase[0] != LinkActive {
 		t.Fatal("busy link should be active")
 	}
 	s.SetDemand(f, 0)
 	s.Run(3)
-	if s.LinkState(0) != LinkSleeping {
-		t.Fatalf("idle link state = %v, want sleeping", s.LinkState(0))
+	if s.phase[0] != LinkSleeping {
+		t.Fatalf("idle link state = %v, want sleeping", s.phase[0])
 	}
 	if s.PowerPct() != 0 {
 		t.Errorf("power = %v%%, want 0 (everything asleep)", s.PowerPct())
@@ -109,8 +109,8 @@ func TestPinnedLinksNeverSleep(t *testing.T) {
 	f, _ := s.AddFlow(a, b, 5*topo.Mbps, []topo.Path{p})
 	s.SetDemand(f, 0)
 	s.Run(5)
-	if s.LinkState(0) != LinkActive {
-		t.Errorf("pinned link slept: %v", s.LinkState(0))
+	if s.phase[0] != LinkActive {
+		t.Errorf("pinned link slept: %v", s.phase[0])
 	}
 }
 
@@ -119,8 +119,8 @@ func TestWakeDelay(t *testing.T) {
 	s := New(tp, Opts{SleepAfterIdle: 0.1, WakeUpDelay: 2})
 	f, _ := s.AddFlow(a, b, 0, []topo.Path{p})
 	s.Run(1) // link sleeps (zero demand)
-	if s.LinkState(0) != LinkSleeping {
-		t.Fatalf("state = %v", s.LinkState(0))
+	if s.phase[0] != LinkSleeping {
+		t.Fatalf("state = %v", s.phase[0])
 	}
 	s.SetDemand(f, 5*topo.Mbps)
 	ready := s.RequestWake(p)
@@ -220,11 +220,12 @@ func TestMeterTracksSleepTransitions(t *testing.T) {
 func TestSampleRates(t *testing.T) {
 	tp, a, b, p := dumbbell(t)
 	s := New(tp, Opts{})
-	s.RateSampling(0) // unbounded
 	f, _ := s.AddFlow(a, b, 5*topo.Mbps, []topo.Path{p})
-	s.SampleEvery(0.5, 4.9, nil)
+	var samples []Sample
+	s.SampleEvery(0.5, 4.9, func(now float64) {
+		samples = append(samples, Sample{Time: now, Value: f.Rate()})
+	})
 	s.Run(5)
-	samples := s.RateSamples(f.ID)
 	if len(samples) < 9 {
 		t.Fatalf("samples = %d", len(samples))
 	}

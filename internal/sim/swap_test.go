@@ -25,24 +25,24 @@ func pinTopo(t *testing.T) (*Simulator, *topo.Topology, topo.LinkID, topo.LinkID
 func TestSetPinnedOnSwapsSleepEligibility(t *testing.T) {
 	s, tp, l1, l2 := pinTopo(t)
 	s.Run(1)
-	if got := s.LinkState(l1); got != LinkActive {
+	if got := s.phase[l1]; got != LinkActive {
 		t.Fatalf("pinned idle link state = %v, want active", got)
 	}
-	if got := s.LinkState(l2); got != LinkSleeping {
+	if got := s.phase[l2]; got != LinkSleeping {
 		t.Fatalf("unpinned idle link state = %v, want sleeping", got)
 	}
 	// Swap the pinned set: l2 becomes always-on, l1 leaves the set.
 	swapped := topo.AllOff(tp)
 	swapped.Link[l2] = true
 	s.SetPinnedOn(swapped)
-	if got := s.LinkState(l2); got != LinkWaking {
+	if got := s.phase[l2]; got != LinkWaking {
 		t.Errorf("newly pinned sleeping link state = %v, want waking", got)
 	}
 	s.Run(2.5)
-	if got := s.LinkState(l2); got != LinkActive {
+	if got := s.phase[l2]; got != LinkActive {
 		t.Errorf("newly pinned link state = %v, want active after wake", got)
 	}
-	if got := s.LinkState(l1); got != LinkSleeping {
+	if got := s.phase[l1]; got != LinkSleeping {
 		t.Errorf("unpinned idle link state = %v, want sleeping after idle", got)
 	}
 }

@@ -70,18 +70,3 @@ func BenchmarkKShortest(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkECMPPaths(b *testing.B) {
-	ft, err := topo.NewFatTree(4, topo.FatTreeOpts{WithHosts: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hosts := ft.Topology.NodesOfKind(topo.KindHost)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := ECMPPaths(ft.Topology, hosts[0], hosts[len(hosts)-1], 16, Options{Weight: Hops()}); len(got) == 0 {
-			b.Fatal("no paths")
-		}
-	}
-}

@@ -1,7 +1,6 @@
 // Package spf is the shortest-path substrate: Dijkstra over pluggable
-// arc weights, Yen's K-shortest paths, OSPF-InvCap weights (the paper's
-// Cisco-recommended baseline: link weight = inverse capacity), and ECMP
-// equal-cost path enumeration.
+// arc weights, Yen's K-shortest paths, and OSPF-InvCap weights (the
+// paper's Cisco-recommended baseline: link weight = inverse capacity).
 //
 // All searches refuse to transit through hosts (hosts may only be path
 // endpoints) and can be restricted to the powered subgraph via an
@@ -49,11 +48,6 @@ type WeightFunc func(a topo.Arc) float64
 // Latency weights arcs by propagation delay: shortest-delay routing.
 func Latency() WeightFunc {
 	return func(a topo.Arc) float64 { return a.Latency }
-}
-
-// Hops weights every arc 1: minimum-hop routing.
-func Hops() WeightFunc {
-	return func(a topo.Arc) float64 { return 1 }
 }
 
 // InvCap implements the Cisco-recommended OSPF setting (the paper's
@@ -374,80 +368,4 @@ func sameArcs(a, b []topo.ArcID) bool {
 		}
 	}
 	return true
-}
-
-// ECMPPaths enumerates equal-cost shortest paths from o to d (up to
-// maxPaths, default 16), the standard ECMP baseline of Figure 4.
-func ECMPPaths(t *topo.Topology, o, d topo.NodeID, maxPaths int, opts Options) []topo.Path {
-	ws := wsPool.Get().(*Workspace)
-	out := ws.ECMPPaths(t, o, d, maxPaths, opts)
-	wsPool.Put(ws)
-	return out
-}
-
-// ECMPPaths enumerates equal-cost shortest paths using the workspace's
-// label arrays directly, without materializing a Tree.
-func (ws *Workspace) ECMPPaths(t *topo.Topology, o, d topo.NodeID, maxPaths int, opts Options) []topo.Path {
-	if maxPaths <= 0 {
-		maxPaths = 16
-	}
-	if o == d {
-		return nil
-	}
-	ws.run(t, o, opts, -1, false)
-	if math.IsInf(ws.distAt(d), 1) {
-		return nil
-	}
-	nodes := t.Nodes()
-	arcs := t.Arcs()
-	const eps = 1e-12
-	// DFS backwards from d along arcs on some shortest path.
-	var out []topo.Path
-	var stack []topo.ArcID
-	var dfs func(n topo.NodeID)
-	dfs = func(n topo.NodeID) {
-		if len(out) >= maxPaths {
-			return
-		}
-		if n == o {
-			arcs := make([]topo.ArcID, len(stack))
-			for i := range stack {
-				arcs[i] = stack[len(stack)-1-i]
-			}
-			out = append(out, topo.Path{Arcs: arcs})
-			return
-		}
-		dn := ws.distAt(n)
-		for _, aid := range t.In(n) {
-			a := &arcs[aid]
-			if nodes[a.From].Kind == topo.KindHost && a.From != o {
-				continue
-			}
-			wt, ok := opts.admit(nodes, a, a.To)
-			if !ok {
-				continue
-			}
-			if math.Abs(ws.distAt(a.From)+wt-dn) <= eps*(1+dn) {
-				stack = append(stack, aid)
-				dfs(a.From)
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	dfs(d)
-	return out
-}
-
-// HashFlow deterministically selects one of n paths for a flow key, the
-// way ECMP hashes five-tuples onto next hops.
-func HashFlow(o, d topo.NodeID, flowID, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for _, v := range []uint64{uint64(o), uint64(d), uint64(flowID)} {
-		h ^= v
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
 }

@@ -2,11 +2,15 @@ package spf
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"response/internal/topo"
 )
+
+// hops weights every arc 1: minimum-hop routing.
+func hops(topo.Arc) float64 { return 1 }
 
 // grid builds a 3x3 grid of routers with uniform 10 Mbps / 1 ms links.
 func grid(t *testing.T) (*topo.Topology, [9]topo.NodeID) {
@@ -77,7 +81,7 @@ func TestInvCapPrefersFatPipes(t *testing.T) {
 
 func TestHopsWeight(t *testing.T) {
 	tp, n := grid(t)
-	p, _ := ShortestPath(tp, n[0], n[2], Options{Weight: Hops()})
+	p, _ := ShortestPath(tp, n[0], n[2], Options{Weight: hops})
 	if p.Len() != 2 {
 		t.Errorf("hops = %d, want 2", p.Len())
 	}
@@ -111,7 +115,7 @@ func TestAvoidPredicate(t *testing.T) {
 	if !ok {
 		t.Fatal("no avoiding path")
 	}
-	if p.UsesNode(tp, n[1]) {
+	if slices.Contains(p.Nodes(tp), n[1]) {
 		t.Error("avoided node used")
 	}
 }
@@ -131,7 +135,7 @@ func TestHostsDoNotTransit(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	if p.UsesNode(tp, h) {
+	if slices.Contains(p.Nodes(tp), h) {
 		t.Error("path transits a host")
 	}
 	// But a host can be an endpoint.
@@ -184,43 +188,6 @@ func TestKShortestOnePathGraph(t *testing.T) {
 	}
 	if KShortest(tp, a, b, 0, Options{}) != nil {
 		t.Error("k=0 should return nil")
-	}
-}
-
-func TestECMPEnumeratesEqualCost(t *testing.T) {
-	tp, n := grid(t)
-	// Corner to corner in a grid: C(4,2)=6 equal-hop paths.
-	paths := ECMPPaths(tp, n[0], n[8], 16, Options{Weight: Hops()})
-	if len(paths) != 6 {
-		t.Fatalf("ECMP paths = %d, want 6", len(paths))
-	}
-	for _, p := range paths {
-		if p.Len() != 4 {
-			t.Errorf("non-shortest ECMP path of %d hops", p.Len())
-		}
-		if err := p.Check(tp); err != nil {
-			t.Error(err)
-		}
-	}
-	// Cap respected.
-	if got := len(ECMPPaths(tp, n[0], n[8], 3, Options{Weight: Hops()})); got != 3 {
-		t.Errorf("capped ECMP = %d, want 3", got)
-	}
-}
-
-func TestHashFlowDeterministicAndBounded(t *testing.T) {
-	for flows := 0; flows < 100; flows++ {
-		i := HashFlow(1, 2, flows, 6)
-		j := HashFlow(1, 2, flows, 6)
-		if i != j {
-			t.Fatal("hash not deterministic")
-		}
-		if i < 0 || i >= 6 {
-			t.Fatalf("hash out of range: %d", i)
-		}
-	}
-	if HashFlow(1, 2, 3, 0) != 0 {
-		t.Error("n=0 should return 0")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the
-// evaluation harness: percentiles, empirical CDF/CCDF curves, five-number
-// boxplot summaries, and running moments.
+// evaluation harness: means, percentiles, empirical CCDF curves and
+// five-number boxplot summaries.
 //
 // All functions treat their input as a sample of a one-dimensional
 // distribution. Inputs are never mutated; functions that need ordering
@@ -27,24 +27,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs (dividing by n), or 0
-// for samples with fewer than two elements.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element of xs. It panics on empty input by
 // design: callers in the harness always have non-empty samples and a
@@ -132,27 +114,6 @@ func NewBoxplot(xs []float64) (Boxplot, error) {
 // Point is one (X, Y) sample of an empirical distribution curve.
 type Point struct{ X, Y float64 }
 
-// CDF returns the empirical cumulative distribution of xs evaluated at
-// each distinct sample value: Y = P(sample <= X), Y in (0,1].
-func CDF(xs []float64) []Point {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := float64(len(s))
-	var out []Point
-	for i := 0; i < len(s); i++ {
-		// Collapse runs of equal values into a single point at the
-		// highest cumulative probability.
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, Point{X: s[i], Y: float64(i+1) / n})
-	}
-	return out
-}
-
 // CCDF returns the complementary CDF of xs: Y = P(sample >= X).
 // The first point has Y = 1 at the sample minimum.
 func CCDF(xs []float64) []Point {
@@ -185,57 +146,3 @@ func FractionAtLeast(xs []float64, threshold float64) float64 {
 	}
 	return float64(c) / float64(len(xs))
 }
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Samples outside the range are clamped into the edge bins.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
-}
-
-// Welford accumulates mean and variance online without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations folded in so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 before any observation).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -22,19 +21,6 @@ func TestMean(t *testing.T) {
 		if got := Mean(c.in); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("Mean(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if Variance([]float64{3}) != 0 {
-		t.Error("Variance of singleton should be 0")
 	}
 }
 
@@ -94,19 +80,6 @@ func TestBoxplot(t *testing.T) {
 	}
 }
 
-func TestCDFBasic(t *testing.T) {
-	pts := CDF([]float64{1, 1, 2, 3})
-	if len(pts) != 3 {
-		t.Fatalf("CDF points = %d, want 3 (dups collapsed)", len(pts))
-	}
-	if pts[0].X != 1 || math.Abs(pts[0].Y-0.5) > 1e-12 {
-		t.Errorf("first point = %+v", pts[0])
-	}
-	if pts[2].Y != 1 {
-		t.Errorf("last CDF value = %v, want 1", pts[2].Y)
-	}
-}
-
 func TestCCDFBasic(t *testing.T) {
 	pts := CCDF([]float64{1, 2, 3, 4})
 	if pts[0].Y != 1 {
@@ -114,26 +87,6 @@ func TestCCDFBasic(t *testing.T) {
 	}
 	if pts[len(pts)-1].Y != 0.25 {
 		t.Errorf("CCDF ends at %v, want 0.25", pts[len(pts)-1].Y)
-	}
-}
-
-// Property: CDF is monotone nondecreasing in both X and Y, Y in (0,1].
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := sanitize(raw)
-		if len(xs) == 0 {
-			return true
-		}
-		pts := CDF(xs)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].Y < pts[i-1].Y {
-				return false
-			}
-		}
-		return pts[len(pts)-1].Y == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -198,44 +151,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWelfordMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		w.Add(xs[i])
-	}
-	if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
-		t.Errorf("Welford mean %v vs %v", w.Mean(), Mean(xs))
-	}
-	if math.Abs(w.Variance()-Variance(xs)) > 1e-9 {
-		t.Errorf("Welford variance %v vs %v", w.Variance(), Variance(xs))
-	}
-	if w.N() != len(xs) {
-		t.Errorf("Welford N = %d", w.N())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.5, 1.5, 1.6, 9.9, -3, 42}, 0, 10, 10)
-	if h[0] != 2 { // 0.5 and clamped -3
-		t.Errorf("bin0 = %d", h[0])
-	}
-	if h[1] != 2 {
-		t.Errorf("bin1 = %d", h[1])
-	}
-	if h[9] != 2 { // 9.9 and clamped 42
-		t.Errorf("bin9 = %d", h[9])
-	}
-	if Histogram(nil, 0, 1, 0) != nil {
-		t.Error("zero bins should return nil")
-	}
-	if Histogram(nil, 5, 5, 3) != nil {
-		t.Error("empty range should return nil")
 	}
 }
 

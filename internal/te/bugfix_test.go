@@ -111,7 +111,7 @@ func TestEvacuationRetriesAfterDeadTarget(t *testing.T) {
 // TestConsolidationBudget is the regression test for the consolidation
 // loop bug: the pass must stop once the movable-rate budget is spent,
 // and the total share moved down in one decision must keep the primary
-// under Threshold×LowWater as documented on Opts.
+// under Threshold×lowWater.
 func TestConsolidationBudget(t *testing.T) {
 	tp := topo.New("consolidate")
 	a := tp.AddNode("A", topo.KindRouter)
@@ -131,7 +131,7 @@ func TestConsolidationBudget(t *testing.T) {
 	s := sim.New(tp, sim.Opts{SleepAfterIdle: 1e9})
 	// Gamma 1 so a single decision moves the full budget (the cap, not
 	// the damping, must be what protects the low-water promise).
-	ctrl := NewController(s, Opts{Threshold: 0.9, LowWater: 0.7, Gamma: 1})
+	ctrl := NewController(s, Opts{Threshold: 0.9, Gamma: 1})
 	f, err := s.AddFlow(a, b, 9.5*topo.Mbps, []topo.Path{
 		{Arcs: []topo.ArcID{ab}},
 		{Arcs: []topo.ArcID{ac, cb}},
@@ -143,12 +143,12 @@ func TestConsolidationBudget(t *testing.T) {
 	// Primary already half loaded; the rest spread over two uppers.
 	s.SetShare(f, []float64{0.5, 0.25, 0.25})
 	s.Run(1)
-	lowWater := 0.9 * 0.7
+	ceiling := 0.9 * lowWater
 	for i := 0; i < 20; i++ {
 		ctrl.DecideOnce(f)
 		s.Run(s.Now() + 0.1)
-		if u := s.ArcUtil(ab); u > lowWater+1e-6 {
-			t.Fatalf("decision %d pushed primary util to %v, above the low-water %v", i, u, lowWater)
+		if u := s.ArcUtil(ab); u > ceiling+1e-6 {
+			t.Fatalf("decision %d pushed primary util to %v, above the low-water %v", i, u, ceiling)
 		}
 	}
 	// The budget must still make progress: share does consolidate.

@@ -32,19 +32,12 @@ type Opts struct {
 	// Threshold is the ISP's link-utilization ceiling that triggers
 	// on-demand activation (default 0.9).
 	Threshold float64
-	// LowWater, as a fraction of Threshold, is the level a lower path
-	// must stay under after consolidation for traffic to move back
-	// down (default 0.7 — hysteresis against oscillation).
-	LowWater float64
 	// Gamma is the damping factor: the fraction of the excess shifted
 	// per decision (default 0.5).
 	Gamma float64
 	// Period is the probe period T in seconds; 0 derives it from the
 	// topology's max RTT, the paper's recommendation.
 	Period float64
-	// ProbeDelay, when true (default), delays utilization feedback by
-	// the probed path's RTT, as a real probe packet would.
-	NoProbeDelay bool
 	// Events, when non-nil, receives a JSONL trace of every controller
 	// action (probe rounds, shifts, wakes, evacuations, retargets). Off
 	// by default; when off the only cost is a nil check per action.
@@ -55,12 +48,14 @@ type Opts struct {
 	Metrics *metrics.Runtime
 }
 
+// lowWater, as a fraction of Threshold, is the level a lower path must
+// stay under after consolidation for traffic to move back down
+// (hysteresis against oscillation).
+const lowWater = 0.7
+
 func (o *Opts) defaults(t *topo.Topology) {
 	if o.Threshold == 0 {
 		o.Threshold = 0.9
-	}
-	if o.LowWater == 0 {
-		o.LowWater = 0.7
 	}
 	if o.Gamma == 0 {
 		o.Gamma = 0.5
@@ -276,10 +271,8 @@ func (c *Controller) probeAll() {
 			}
 			off += len(f.Paths)
 		}
-		if c.opts.NoProbeDelay {
-			c.deliver(gi, n, buf)
-			continue
-		}
+		// Feedback arrives one probed-path RTT later, as a real probe
+		// packet's would.
 		c.s.After(g.rtt, func() { c.deliver(gi, n, buf) })
 	}
 }
@@ -338,8 +331,8 @@ func (c *Controller) decide(f *sim.Flow, utils []float64) {
 	// their elements can sleep. movableRate budgets the whole pass:
 	// everything moved down here raises the primary's bottleneck by at
 	// most movableRate/bottleneck, so its post-move utilization
-	// provably stays under Threshold×LowWater as documented on Opts.
-	room := th*c.opts.LowWater - utils[primary]
+	// provably stays under Threshold×lowWater.
+	room := th*lowWater - utils[primary]
 	if room <= 0 {
 		return
 	}
@@ -361,7 +354,7 @@ func (c *Controller) decide(f *sim.Flow, utils []float64) {
 		maxShare := movableRate / math.Max(f.Demand, 1e-9)
 		frac := math.Min(sh, c.opts.Gamma*maxShare)
 		if frac > maxShare {
-			frac = maxShare // keep the LowWater promise even if Gamma > 1
+			frac = maxShare // keep the lowWater promise even if Gamma > 1
 		}
 		if frac <= 1e-6 {
 			continue

@@ -122,13 +122,15 @@ func TestFig7Timeline(t *testing.T) {
 	ehArc := mustArcUtilTarget(t, s)
 	eh := s.T.Arc(ehArc).Link
 	s.Schedule(5.7, func() { s.FailLink(eh) })
-	s.RateSampling(0)
-	s.SampleEvery(0.05, 8, nil)
+	var rates []sim.Sample // fa's achieved rate every 50 ms
+	s.SampleEvery(0.05, 8, func(now float64) {
+		rates = append(rates, sim.Sample{Time: now, Value: fa.Rate()})
+	})
 	s.Run(8)
 
 	// Between TE start and the failure the flows kept full rate (the
 	// consolidation itself must not disturb throughput).
-	for _, smp := range s.RateSamples(fa.ID) {
+	for _, smp := range rates {
 		if smp.Time > 5.4 && smp.Time < 5.65 && smp.Value < 2.4e6 {
 			t.Errorf("rate dipped to %v during consolidation at t=%.2f", smp.Value, smp.Time)
 		}
@@ -146,7 +148,7 @@ func TestFig7Timeline(t *testing.T) {
 	}
 	// Restoration must happen promptly: find when fa's rate recovered.
 	recovered := math.Inf(1)
-	for _, smp := range s.RateSamples(fa.ID) {
+	for _, smp := range rates {
 		if smp.Time > 5.7 && smp.Value > 2.4e6 {
 			recovered = smp.Time
 			break

@@ -94,9 +94,6 @@ func NewFatTree(k int, opts FatTreeOpts) (*FatTree, error) {
 	return ft, nil
 }
 
-// NumCore returns the number of core switches ((k/2)^2).
-func (f *FatTree) NumCore() int { return len(f.Core) }
-
 // AllHosts returns every host in pod order.
 func (f *FatTree) AllHosts() []NodeID {
 	var out []NodeID

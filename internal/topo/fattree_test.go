@@ -9,7 +9,7 @@ func TestFatTreeCounts(t *testing.T) {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		half := k / 2
-		if got, want := ft.NumCore(), half*half; got != want {
+		if got, want := len(ft.Core), half*half; got != want {
 			t.Errorf("k=%d core = %d, want %d", k, got, want)
 		}
 		if got, want := len(ft.AllHosts()), k*k*k/4; got != want {
@@ -90,8 +90,8 @@ func TestFatTree36CoreForFig2b(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft.NumCore() != 36 {
-		t.Fatalf("k=12 core = %d, want 36", ft.NumCore())
+	if len(ft.Core) != 36 {
+		t.Fatalf("k=12 core = %d, want 36", len(ft.Core))
 	}
 }
 

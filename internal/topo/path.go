@@ -69,33 +69,6 @@ func (p Path) Bottleneck(t *Topology) float64 {
 	return m
 }
 
-// UsesLink reports whether the path traverses the given physical link
-// in either direction.
-func (p Path) UsesLink(t *Topology, l LinkID) bool {
-	for _, aid := range p.Arcs {
-		if t.Arc(aid).Link == l {
-			return true
-		}
-	}
-	return false
-}
-
-// UsesNode reports whether the path visits n (including endpoints).
-func (p Path) UsesNode(t *Topology, n NodeID) bool {
-	if p.Empty() {
-		return false
-	}
-	if p.Origin(t) == n {
-		return true
-	}
-	for _, aid := range p.Arcs {
-		if t.Arc(aid).To == n {
-			return true
-		}
-	}
-	return false
-}
-
 // SharedLinks counts physical links used by both p and q.
 func (p Path) SharedLinks(t *Topology, q Path) int {
 	used := make(map[LinkID]bool, len(p.Arcs))

@@ -92,12 +92,12 @@ func TestPathUsesAndShares(t *testing.T) {
 	if up.SharedLinks(tp, up) != 2 {
 		t.Error("self-sharing should equal length")
 	}
-	if !up.UsesNode(tp, n[1]) || up.UsesNode(tp, n[2]) {
-		t.Error("UsesNode wrong")
+	if nodes := up.Nodes(tp); len(nodes) != 3 || nodes[1] != n[1] {
+		t.Errorf("up path visits %v, want A, %d, D", nodes, n[1])
 	}
-	lid := tp.Arc(up.Arcs[0]).Link
-	if !up.UsesLink(tp, lid) || down.UsesLink(tp, lid) {
-		t.Error("UsesLink wrong")
+	first := Path{Arcs: up.Arcs[:1]}
+	if first.SharedLinks(tp, up) != 1 || first.SharedLinks(tp, down) != 0 {
+		t.Error("a one-hop prefix shares its link with its own path only")
 	}
 }
 

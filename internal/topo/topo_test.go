@@ -185,7 +185,7 @@ func TestBuildersValidateAndConnect(t *testing.T) {
 		"abovenet": NewAbovenet(),
 		"genuity":  NewGenuity(),
 	}
-	pa := NewPopAccess(PopAccessOpts{})
+	pa := NewPopAccess()
 	builders["pop-access"] = pa.Topology
 	ex := NewExample(ExampleOpts{})
 	builders["fig3"] = ex.Topology
@@ -226,7 +226,7 @@ func TestRocketfuelCapacityRule(t *testing.T) {
 }
 
 func TestPopAccessStructure(t *testing.T) {
-	pa := NewPopAccess(PopAccessOpts{Cores: 4, BackbonePerCore: 2, MetroPerBackbone: 2})
+	pa := NewPopAccess() // 4 cores, 2 backbone per core, 2 metro per backbone
 	if len(pa.Core) != 4 || len(pa.Backbone) != 8 || len(pa.Metro) != 16 {
 		t.Fatalf("layer sizes: %d/%d/%d", len(pa.Core), len(pa.Backbone), len(pa.Metro))
 	}

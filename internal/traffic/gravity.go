@@ -1,10 +1,6 @@
 package traffic
 
-import (
-	"math/rand"
-
-	"response/internal/topo"
-)
+import "response/internal/topo"
 
 // GravityOpts parameterizes the capacity-based gravity model of §5.1:
 // the incoming/outgoing flow of each PoP is proportional to the
@@ -14,17 +10,11 @@ type GravityOpts struct {
 	Nodes []topo.NodeID
 	// TotalRate is the aggregate demand to distribute (bits/s).
 	TotalRate float64
-	// FractionOfPairs, in (0,1], randomly selects a subset of (O,D)
-	// pairs as in the paper ("we select the origins and destinations
-	// at random, as in [24]"). Default 1 (all pairs).
-	FractionOfPairs float64
-	// Seed makes the random pair selection deterministic.
-	Seed int64
 }
 
 // Gravity builds a traffic matrix from the capacity-based gravity
 // model: rate(o,d) ∝ w(o)·w(d) with w(n) = Σ capacity of n's links,
-// normalized to TotalRate over the selected pairs.
+// normalized to TotalRate over every ordered pair of Nodes.
 func Gravity(t *topo.Topology, opts GravityOpts) *Matrix {
 	nodes := opts.Nodes
 	if nodes == nil {
@@ -34,11 +24,6 @@ func Gravity(t *topo.Topology, opts GravityOpts) *Matrix {
 			}
 		}
 	}
-	frac := opts.FractionOfPairs
-	if frac <= 0 || frac > 1 {
-		frac = 1
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
 	w := make(map[topo.NodeID]float64, len(nodes))
 	for _, id := range nodes {
 		var c float64
@@ -47,15 +32,12 @@ func Gravity(t *topo.Topology, opts GravityOpts) *Matrix {
 		}
 		w[id] = c
 	}
-	// Unnormalized weights for the selected pairs.
+	// Unnormalized weights for every pair.
 	m := NewMatrix()
 	var sum float64
 	for _, o := range nodes {
 		for _, d := range nodes {
 			if o == d {
-				continue
-			}
-			if frac < 1 && rng.Float64() >= frac {
 				continue
 			}
 			g := w[o] * w[d]
@@ -71,12 +53,12 @@ func Gravity(t *topo.Topology, opts GravityOpts) *Matrix {
 
 // HostGravity is Gravity restricted to host nodes, for datacenter
 // topologies where demand originates at servers.
-func HostGravity(t *topo.Topology, totalRate float64, seed int64) *Matrix {
+func HostGravity(t *topo.Topology, totalRate float64) *Matrix {
 	var hosts []topo.NodeID
 	for _, n := range t.Nodes() {
 		if n.Kind == topo.KindHost {
 			hosts = append(hosts, n.ID)
 		}
 	}
-	return Gravity(t, GravityOpts{Nodes: hosts, TotalRate: totalRate, Seed: seed})
+	return Gravity(t, GravityOpts{Nodes: hosts, TotalRate: totalRate})
 }

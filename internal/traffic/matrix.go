@@ -85,17 +85,6 @@ func (m *Matrix) Total() float64 {
 	return s
 }
 
-// MaxRate returns the largest single (O,D) demand.
-func (m *Matrix) MaxRate() float64 {
-	var mx float64
-	for _, r := range m.rates {
-		if r > mx {
-			mx = r
-		}
-	}
-	return mx
-}
-
 // Scale returns a new matrix with every demand multiplied by f.
 func (m *Matrix) Scale(f float64) *Matrix {
 	out := NewMatrix()
@@ -157,21 +146,6 @@ type Series struct {
 // Duration returns the covered time span in seconds.
 func (s *Series) Duration() float64 {
 	return s.IntervalSec * float64(len(s.Matrices))
-}
-
-// At returns the matrix governing time tSec.
-func (s *Series) At(tSec float64) *Matrix {
-	if len(s.Matrices) == 0 {
-		return NewMatrix()
-	}
-	i := int(tSec / s.IntervalSec)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s.Matrices) {
-		i = len(s.Matrices) - 1
-	}
-	return s.Matrices[i]
 }
 
 // Peak returns the matrix with the largest total demand: the paper's

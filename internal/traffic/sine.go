@@ -25,32 +25,28 @@ func (l Locality) String() string {
 }
 
 // SineOpts parameterizes the ElasticTree-style sine-wave demand used in
-// Figures 4 and 8b: each flow's rate follows a sine over [0, PeakRate],
+// Figures 4 and 8b: each flow's rate follows a sine over [0, sinePeak],
 // mimicking diurnal variation in a datacenter.
 type SineOpts struct {
 	Locality Locality
-	// PeakRate is each flow's maximum (default 0.8 Gb/s, under the
-	// 1 Gb/s host links so routing stays feasible at peak).
-	PeakRate float64
-	// PeriodSec is one full diurnal cycle (default 100 s of simulated
-	// time; the figures use arbitrary time units).
-	PeriodSec float64
 	// Steps is the number of matrices per period (default 40).
 	Steps int
 }
 
-// sineFloor is the valley rate as a fraction of peak: exactly zero
-// flows would leave nothing to route there. The series is one full
-// cycle.
-const sineFloor float64 = 0.05
+// The sine wave's shape. The series is one full cycle.
+const (
+	// sinePeak is each flow's maximum rate: under the 1 Gb/s host links
+	// so routing stays feasible at peak.
+	sinePeak = 0.8 * topo.Gbps
+	// sinePeriodSec is one full diurnal cycle in simulated seconds (the
+	// figures use arbitrary time units).
+	sinePeriodSec = 100.0
+	// sineFloor is the valley rate as a fraction of peak: exactly zero
+	// flows would leave nothing to route there.
+	sineFloor float64 = 0.05
+)
 
 func (o *SineOpts) defaults() {
-	if o.PeakRate == 0 {
-		o.PeakRate = 0.8 * topo.Gbps
-	}
-	if o.PeriodSec == 0 {
-		o.PeriodSec = 100
-	}
 	if o.Steps == 0 {
 		o.Steps = 40
 	}
@@ -87,12 +83,12 @@ func SinePairs(ft *topo.FatTree, loc Locality) [][2]topo.NodeID {
 func SineSeries(ft *topo.FatTree, opts SineOpts) *Series {
 	opts.defaults()
 	pairs := SinePairs(ft, opts.Locality)
-	s := &Series{IntervalSec: opts.PeriodSec / float64(opts.Steps)}
+	s := &Series{IntervalSec: sinePeriodSec / float64(opts.Steps)}
 	for i := 0; i < opts.Steps; i++ {
 		t := float64(i) * s.IntervalSec
 		// Raised sine starting at the floor, peaking mid-period.
-		x := 0.5 * (1 - math.Cos(2*math.Pi*t/opts.PeriodSec))
-		rate := opts.PeakRate * (sineFloor + (1-sineFloor)*x)
+		x := 0.5 * (1 - math.Cos(2*math.Pi*t/sinePeriodSec))
+		rate := sinePeak * (sineFloor + (1-sineFloor)*x)
 		m := NewMatrix()
 		for _, p := range pairs {
 			m.Set(p[0], p[1], rate)

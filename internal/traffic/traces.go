@@ -167,29 +167,6 @@ func VolatileSeries(base *Matrix, opts VolatileOpts) *Series {
 	return s
 }
 
-// TotalSeries returns the per-interval total demand of a series, the
-// quantity whose 5-minute relative changes Figure 1a plots.
-func TotalSeries(s *Series) []float64 {
-	out := make([]float64, len(s.Matrices))
-	for i, m := range s.Matrices {
-		out[i] = m.Total()
-	}
-	return out
-}
-
-// Changes returns the percent relative change between consecutive
-// matrices of a series (per-interval |ΔT|/T of the aggregate).
-func Changes(s *Series) []float64 {
-	if len(s.Matrices) < 2 {
-		return nil
-	}
-	out := make([]float64, 0, len(s.Matrices)-1)
-	for i := 1; i < len(s.Matrices); i++ {
-		out = append(out, RelativeChange(s.Matrices[i-1], s.Matrices[i]))
-	}
-	return out
-}
-
 // PerFlowChanges returns the percent relative change of every
 // individual (O,D) demand between consecutive intervals — the
 // link-level deviation statistic of Figure 1a ("traffic deviation in a

@@ -16,7 +16,7 @@ func TestMatrixBasics(t *testing.T) {
 	if m.Rate(1, 2) != 100 || m.Rate(2, 1) != 50 || m.Rate(1, 3) != 0 {
 		t.Error("rates wrong")
 	}
-	if m.Len() != 2 || m.Total() != 150 || m.MaxRate() != 100 {
+	if m.Len() != 2 || m.Total() != 150 {
 		t.Error("aggregates wrong")
 	}
 	m.Add(1, 2, 25)
@@ -133,29 +133,12 @@ func TestGravityProportionality(t *testing.T) {
 	}
 }
 
-func TestGravityFractionOfPairs(t *testing.T) {
-	g := topo.NewGeant()
-	full := Gravity(g, GravityOpts{TotalRate: 100})
-	part := Gravity(g, GravityOpts{TotalRate: 100, FractionOfPairs: 0.4, Seed: 7})
-	if part.Len() >= full.Len() {
-		t.Errorf("partial pairs %d !< full %d", part.Len(), full.Len())
-	}
-	if math.Abs(part.Total()-100) > 1e-6 {
-		t.Error("partial matrix should still normalize")
-	}
-	// Deterministic under the same seed.
-	again := Gravity(g, GravityOpts{TotalRate: 100, FractionOfPairs: 0.4, Seed: 7})
-	if again.Len() != part.Len() {
-		t.Error("same seed gave different pair sets")
-	}
-}
-
 func TestHostGravityUsesHosts(t *testing.T) {
 	ft, err := topo.NewFatTree(4, topo.FatTreeOpts{WithHosts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := HostGravity(ft.Topology, 100, 1)
+	m := HostGravity(ft.Topology, 100)
 	for _, d := range m.Demands() {
 		if ft.Node(d.O).Kind != topo.KindHost || ft.Node(d.D).Kind != topo.KindHost {
 			t.Fatal("non-host endpoint in host gravity")
@@ -190,18 +173,25 @@ func TestSineSeriesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := SineSeries(ft, SineOpts{Locality: Far, PeakRate: 1000, PeriodSec: 100, Steps: 20})
+	s := SineSeries(ft, SineOpts{Locality: Far, Steps: 20})
 	if len(s.Matrices) != 20 {
 		t.Fatalf("steps = %d", len(s.Matrices))
 	}
-	tot := TotalSeries(s)
+	if s.IntervalSec*20 != sinePeriodSec {
+		t.Errorf("interval %v s × 20 steps, want one %v s period", s.IntervalSec, sinePeriodSec)
+	}
 	// Valley at step 0, peak near the middle.
-	if tot[0] >= tot[10] {
+	if s.Matrices[0].Total() >= s.Matrices[10].Total() {
 		t.Error("sine should rise from valley to mid-period peak")
 	}
-	for i, v := range tot {
-		if v <= 0 {
+	for i, m := range s.Matrices {
+		if v := m.Total(); v <= 0 {
 			t.Errorf("step %d total %v; floor should keep it positive", i, v)
+		}
+		for _, d := range m.Demands() {
+			if d.Rate > sinePeak {
+				t.Fatalf("step %d rate %v above the %v peak", i, d.Rate, sinePeak)
+			}
 		}
 	}
 	if s.Peak().Total() < s.OffPeak().Total() {
@@ -269,33 +259,33 @@ func TestVolatileSeriesCalibration(t *testing.T) {
 		t.Errorf("P(per-flow change >= 20%%) = %.2f, want ≈0.5 (Figure 1a)", frac)
 	}
 	// Aggregate changes are tamer (flows decorrelate) but non-trivial.
-	agg := stats.FractionAtLeast(Changes(s), 10)
+	var aggChanges []float64
+	for i := 1; i < len(s.Matrices); i++ {
+		aggChanges = append(aggChanges, RelativeChange(s.Matrices[i-1], s.Matrices[i]))
+	}
+	agg := stats.FractionAtLeast(aggChanges, 10)
 	if agg == 0 {
 		t.Error("aggregate volatility collapsed to zero")
 	}
 }
 
+// TestSeriesAt checks the series' time accessors: its span, and the
+// peak and off-peak matrices the planner reads (d_peak, d_low).
 func TestSeriesAt(t *testing.T) {
 	s := &Series{IntervalSec: 10}
-	for i := 0; i < 3; i++ {
+	for _, r := range []float64{2, 3, 1} {
 		m := NewMatrix()
-		m.Set(0, 1, float64(i+1))
+		m.Set(0, 1, r)
 		s.Matrices = append(s.Matrices, m)
-	}
-	if s.At(-5).Rate(0, 1) != 1 || s.At(0).Rate(0, 1) != 1 {
-		t.Error("At clamp low")
-	}
-	if s.At(15).Rate(0, 1) != 2 {
-		t.Error("At mid")
-	}
-	if s.At(1e9).Rate(0, 1) != 3 {
-		t.Error("At clamp high")
 	}
 	if s.Duration() != 30 {
 		t.Error("duration")
 	}
+	if s.Peak().Rate(0, 1) != 3 || s.OffPeak().Rate(0, 1) != 1 {
+		t.Errorf("peak/off-peak = %v/%v, want 3/1", s.Peak().Rate(0, 1), s.OffPeak().Rate(0, 1))
+	}
 	empty := &Series{IntervalSec: 10}
-	if empty.At(0).Len() != 0 || empty.Peak().Len() != 0 || empty.OffPeak().Len() != 0 {
+	if empty.Peak().Len() != 0 || empty.OffPeak().Len() != 0 {
 		t.Error("empty series accessors should return empty matrices")
 	}
 }

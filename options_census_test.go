@@ -20,30 +20,21 @@ import (
 )
 
 // testsOnlyKnobs lists the option fields no production file assigns:
-// knobs only tests turn. Each is exercised behaviour — a reference
-// mode, a fault seam, a tuning the suite varies — and each is a
-// candidate for the next census; the value is why it is still a field.
+// knobs only tests turn. Each is the seam or the reference mode of the
+// named test, which could not reach the behaviour through a default;
+// the value names that test.
 var testsOnlyKnobs = map[string]string{
-	"response/internal/analysis.ReplayOpts.Optimal":         "the replay test runs the multi-restart search against the greedy default",
-	"response/internal/apps.WebOpts.BackgroundUtil":         "the error-path test saturates the path to force zero residual bandwidth",
-	"response/internal/controld.Opts.PlanHook":              "the seam the job tests cancel and fail plan jobs through deterministically",
-	"response/internal/lifecycle.Opts.Background":           "the goroutine replan mode (cancellation, deadline, Stop races) is only driven by tests",
-	"response/internal/lifecycle.Opts.DrainGrace":           "the chaos test stretches the drain to land a failure mid-swap",
-	"response/internal/lp.MIPOpts.MaxNodes":                 "the MILP oracle tests bound their branch-and-bound budget",
-	"response/internal/scenario.Config.ObliviousReplan":     "the chaos soak's fault-free twin needs replans that never swap",
-	"response/internal/scenario.Config.SRLGs":               "the chaos tests pass a generated instance's group model; Run derives GÉANT's",
-	"response/internal/te.Opts.LowWater":                    "the consolidation-budget regression test pins the documented low-water promise",
-	"response/internal/te.Opts.NoProbeDelay":                "the root Click benchmark measures the controller without probe RTTs",
-	"response/internal/topo.ExampleOpts.IncludeB":           "the topology test builds the full Figure 3 (the experiments run it without router B)",
-	"response/internal/topo.PopAccessOpts.Cores":            "the topology test sizes the hierarchy explicitly",
-	"response/internal/topo.PopAccessOpts.BackbonePerCore":  "the topology test sizes the hierarchy explicitly",
-	"response/internal/topo.PopAccessOpts.MetroPerBackbone": "the topology test sizes the hierarchy explicitly",
-	"response/internal/tracestore.Opts.MaxWindows":          "the eviction and fuzz tests shrink the per-tenant window bound to reach it",
-	"response/internal/traffic.GravityOpts.FractionOfPairs": "the gravity test checks the seeded pair subsampling",
-	"response/internal/traffic.SineOpts.PeakRate":           "the sine test uses round numbers to check the wave's shape",
-	"response/internal/traffic.SineOpts.PeriodSec":          "the sine test uses round numbers to check the wave's shape",
-	"response/internal/verify.Opts.Model":                   "the node-permutation test checks the permuted plan under the model it planned with",
-	"response/internal/verify.Opts.Beta":                    "the checker's delay-bound invariant is exercised on REsPoNse-lat plans by its own tests",
+	"response/internal/analysis.ReplayOpts.Optimal":     "TestReplayOptimalMode runs the multi-restart search against the greedy default",
+	"response/internal/apps.WebOpts.BackgroundUtil":     "TestWebErrors saturates the path to force zero residual bandwidth",
+	"response/internal/controld.Opts.PlanHook":          "TestJobCancelMidPlanFreesSlot and the other job tests cancel and fail plan jobs through it deterministically",
+	"response/internal/lifecycle.Opts.DrainGrace":       "TestStageAndSwapRejectedWhileDraining stretches the drain to land a second staging mid-swap",
+	"response/internal/lp.MIPOpts.MaxNodes":             "TestGreedyMatchesExactMILP and TestMIPDominatesRelaxationProperty bound their branch-and-bound budget",
+	"response/internal/scenario.Config.ObliviousReplan": "TestChaosFingerprintMatchesFaultFree needs replans that never swap in its fault-free twin",
+	"response/internal/scenario.Config.SRLGs":           "TestChaosSoakGeneratedFamilies passes a generated instance's group model; Run derives GÉANT's",
+	"response/internal/topo.ExampleOpts.IncludeB":       "TestBuildersValidateAndConnect builds the full Figure 3 (the experiments run it without router B)",
+	"response/internal/tracestore.Opts.MaxWindows":      "TestWindowEviction and FuzzIngestLine shrink the per-tenant window bound to reach it",
+	"response/internal/verify.Opts.Model":               "TestNodePermutationIsomorphism checks the permuted plan under the model it planned with",
+	"response/internal/verify.Opts.Beta":                "TestGeneratedDelayBound exercises the checker's delay-bound invariant on REsPoNse-lat plans",
 }
 
 // optionStruct reports whether a type name marks an options struct.
@@ -60,7 +51,7 @@ type censusFile struct {
 
 // censusAssigns records which option fields some production line sets.
 type censusAssigns struct {
-	// alias maps a re-exported type ("response/lifecycle.Opts") to the
+	// alias maps a re-exported type ("response/topology.FatTreeOpts") to the
 	// type it names, so a literal of the facade type pays for the
 	// internal struct's field.
 	alias map[string]string

@@ -42,8 +42,6 @@ type (
 	ExampleOpts = topo.ExampleOpts
 	// PopAccess is the hierarchical Italian PoP-access ISP topology.
 	PopAccess = topo.PopAccess
-	// PopAccessOpts parameterizes NewPopAccess.
-	PopAccessOpts = topo.PopAccessOpts
 )
 
 // Node kinds.
@@ -96,4 +94,4 @@ func NewFatTree(k int, opts FatTreeOpts) (*FatTree, error) { return topo.NewFatT
 func NewExample(opts ExampleOpts) *Example { return topo.NewExample(opts) }
 
 // NewPopAccess returns the hierarchical PoP-access ISP topology.
-func NewPopAccess(opts PopAccessOpts) *PopAccess { return topo.NewPopAccess(opts) }
+func NewPopAccess() *PopAccess { return topo.NewPopAccess() }

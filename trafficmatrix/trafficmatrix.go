@@ -56,10 +56,9 @@ func Gravity(t *topology.Topology, opts GravityOpts) *Matrix {
 	return traffic.Gravity(t, opts)
 }
 
-// HostGravity is Gravity restricted to a topology's hosts, with rates
-// jittered by seed.
-func HostGravity(t *topology.Topology, totalRate float64, seed int64) *Matrix {
-	return traffic.HostGravity(t, totalRate, seed)
+// HostGravity is Gravity restricted to a topology's hosts.
+func HostGravity(t *topology.Topology, totalRate float64) *Matrix {
+	return traffic.HostGravity(t, totalRate)
 }
 
 // SineSeries builds the ElasticTree-style sinusoidal datacenter demand
